@@ -9,7 +9,7 @@
 //! Tables are printed and written to `results/<figNN>.tsv`.
 
 use std::path::PathBuf;
-use xlsm_bench::{common::BenchConfig, figures};
+use xlsm_bench::{common::BenchConfig, figures, PROBES};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,23 +95,11 @@ fn main() {
     if want("ext_skew") || args.iter().any(|a| a == "ext") {
         emit(figures::ext_skew(&cfg));
     }
-    if want("parallelism") {
-        emit(figures::fig_parallelism(&cfg));
-    }
-    if want("writepath") {
-        emit(figures::fig_writepath(&cfg));
-    }
-    if want("readpath") {
-        emit(figures::fig_readpath(&cfg));
-    }
-    if want("stability") {
-        emit(figures::fig_stability(&cfg));
+    for probe in PROBES.iter().filter(|p| want(p.name)) {
+        emit((probe.run)(&cfg).tables(probe.tables));
     }
     if want("integrity") {
         emit(figures::fig_integrity(&cfg));
-    }
-    if want("space") {
-        emit(figures::fig_space(&cfg));
     }
 
     if count == 0 {

@@ -12,9 +12,9 @@
 //!   compared with the same keys issued as sequential `get`s, at several
 //!   batch sizes.
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{devices, label, with_testbed, BenchConfig};
+use crate::report::{ratio, row, Report, Row, TableSpec};
 use xlsm_core::experiment::Testbed;
-use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Histogram, Ticker};
 use xlsm_sim::Runtime;
@@ -29,60 +29,36 @@ pub const BATCHES: [usize; 3] = [4, 8, 16];
 /// Batches issued per `(device, batch size)` point.
 const MULTIGET_ITERS: usize = 200;
 
-/// One compaction-drain measurement.
-#[derive(Clone, Debug)]
-pub struct DrainPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// Configured `max_subcompactions`.
-    pub max_subcompactions: usize,
-    /// Bytes read by compactions during the drain, in MiB.
-    pub compact_read_mb: f64,
-    /// Virtual time to drain the Level-0 debt, in ms.
-    pub drain_ms: f64,
-    /// Drain throughput (compaction input consumed per second).
-    pub mb_per_s: f64,
-    /// Throughput relative to the serial run on the same device.
-    pub speedup_vs_serial: f64,
-    /// `SubcompactionsLaunched` ticker after the drain.
-    pub subcompactions_launched: u64,
-    /// `SubcompactionFallbacks` ticker after the drain.
-    pub fallbacks: u64,
-}
-
-/// One MultiGet-vs-sequential measurement.
-#[derive(Clone, Debug)]
-pub struct MultiGetPoint {
-    /// Device label.
-    pub device: &'static str,
-    /// Keys per batch.
-    pub batch: usize,
-    /// Batched `multi_get` latency, p50 in µs.
-    pub batched_p50_us: f64,
-    /// Batched `multi_get` latency, p99 in µs.
-    pub batched_p99_us: f64,
-    /// Same keys as sequential `get`s, p50 in µs.
-    pub sequential_p50_us: f64,
-    /// Same keys as sequential `get`s, p99 in µs.
-    pub sequential_p99_us: f64,
-    /// `sequential_p99_us / batched_p99_us`.
-    pub p99_speedup: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct ParallelismReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Drain sweep, grouped by device in [`FANOUTS`] order.
-    pub drains: Vec<DrainPoint>,
-    /// MultiGet sweep, grouped by device in [`BATCHES`] order.
-    pub multi_gets: Vec<MultiGetPoint>,
-}
+/// The probe's printable tables.
+pub const TABLES: &[TableSpec] = &[
+    TableSpec {
+        name: "parallelism_drain",
+        title: "Parallelism: L0 debt drain throughput vs max_subcompactions",
+        section: "compaction_drain",
+        columns: &[
+            ("device", "device", 0),
+            ("subcompactions", "max_subcompactions", 0),
+            ("mb_per_s", "mb_per_s", 1),
+            ("speedup", "speedup_vs_serial", 2),
+            ("launched", "subcompactions_launched", 0),
+            ("fallbacks", "fallbacks", 0),
+        ],
+    },
+    TableSpec {
+        name: "parallelism_multiget",
+        title: "Parallelism: batched MultiGet vs sequential gets (µs)",
+        section: "multi_get",
+        columns: &[
+            ("device", "device", 0),
+            ("batch", "batch", 0),
+            ("batched_p50", "batched_p50_us", 1),
+            ("batched_p99", "batched_p99_us", 1),
+            ("seq_p50", "sequential_p50_us", 1),
+            ("seq_p99", "sequential_p99_us", 1),
+            ("p99_speedup", "p99_speedup", 2),
+        ],
+    },
+];
 
 fn mb(bytes: u64) -> f64 {
     bytes as f64 / (1 << 20) as f64
@@ -98,7 +74,7 @@ fn drain_one(
     device: &'static str,
     cfg: &BenchConfig,
     max_subcompactions: usize,
-) -> DrainPoint {
+) -> Row {
     let cfg = *cfg;
     Runtime::new().run(move || {
         // Size the memtable so the deferred fill produces a deep Level-0
@@ -124,19 +100,19 @@ fn drain_one(
         let drain_ns = xlsm_sim::now_nanos() - t0;
         let read = stats.ticker(Ticker::CompactReadBytes) - read0;
 
-        let point = DrainPoint {
-            device,
-            max_subcompactions,
-            compact_read_mb: mb(read),
-            drain_ms: drain_ns as f64 / 1e6,
-            mb_per_s: if drain_ns == 0 {
+        let point = row! {
+            "device" => device,
+            "max_subcompactions" => max_subcompactions,
+            "compact_read_mb" => mb(read),
+            "drain_ms" => drain_ns as f64 / 1e6,
+            "mb_per_s" => if drain_ns == 0 {
                 0.0
             } else {
                 mb(read) / (drain_ns as f64 / 1e9)
             },
-            speedup_vs_serial: 1.0, // filled in by `run`
-            subcompactions_launched: stats.ticker(Ticker::SubcompactionsLaunched),
-            fallbacks: stats.ticker(Ticker::SubcompactionFallbacks),
+            "speedup_vs_serial" => 1.0, // filled in by `run`
+            "subcompactions_launched" => stats.ticker(Ticker::SubcompactionsLaunched),
+            "fallbacks" => stats.ticker(Ticker::SubcompactionFallbacks),
         };
         tb.close();
         point
@@ -144,15 +120,9 @@ fn drain_one(
 }
 
 /// Measures batched MultiGet against sequential gets on one device.
-fn multi_get_sweep(
-    profile: DeviceProfile,
-    device: &'static str,
-    cfg: &BenchConfig,
-) -> Vec<MultiGetPoint> {
+fn multi_get_sweep(profile: DeviceProfile, device: &'static str, cfg: &BenchConfig) -> Vec<Row> {
     let cfg = *cfg;
-    Runtime::new().run(move || {
-        let tb = Testbed::new(profile, DbOptions::default(), cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+    with_testbed(profile, DbOptions::default(), &cfg, move |tb| {
         let ks = KeySpace::new(cfg.key_count);
 
         // Deterministic xorshift key picker, independent of the fill RNG.
@@ -188,23 +158,22 @@ fn multi_get_sweep(
             }
             let b99 = us(batched.quantile(0.99));
             let s99 = us(sequential.quantile(0.99));
-            points.push(MultiGetPoint {
-                device,
-                batch,
-                batched_p50_us: us(batched.quantile(0.5)),
-                batched_p99_us: b99,
-                sequential_p50_us: us(sequential.quantile(0.5)),
-                sequential_p99_us: s99,
-                p99_speedup: if b99 == 0.0 { 0.0 } else { s99 / b99 },
+            points.push(row! {
+                "device" => device,
+                "batch" => batch,
+                "batched_p50_us" => us(batched.quantile(0.5)),
+                "batched_p99_us" => b99,
+                "sequential_p50_us" => us(sequential.quantile(0.5)),
+                "sequential_p99_us" => s99,
+                "p99_speedup" => ratio(s99, b99),
             });
         }
-        tb.close();
         points
     })
 }
 
 /// Runs the full probe over the three study devices.
-pub fn run(cfg: &BenchConfig) -> ParallelismReport {
+pub fn run(cfg: &BenchConfig) -> Report {
     let mut drains = Vec::new();
     let mut multi_gets = Vec::new();
     for profile in devices() {
@@ -214,134 +183,15 @@ pub fn run(cfg: &BenchConfig) -> ParallelismReport {
             eprintln!("[parallelism] drain: {device} max_subcompactions={n}");
             drains.push(drain_one(profile.clone(), device, cfg, n));
         }
-        let serial = drains[base].mb_per_s;
+        let serial = drains[base].num("mb_per_s");
         for p in &mut drains[base..] {
-            p.speedup_vs_serial = if serial == 0.0 {
-                0.0
-            } else {
-                p.mb_per_s / serial
-            };
+            let speedup = ratio(p.num("mb_per_s"), serial);
+            p.set("speedup_vs_serial", speedup);
         }
         eprintln!("[parallelism] multi_get: {device}");
         multi_gets.extend(multi_get_sweep(profile.clone(), device, cfg));
     }
-    ParallelismReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        drains,
-        multi_gets,
-    }
-}
-
-impl ParallelismReport {
-    /// Serializes the report as JSON. Hand-rolled (the bench crate carries
-    /// no serde) with a fixed field order and fixed-precision floats so the
-    /// output is byte-identical across runs with the same seed — this is
-    /// what the determinism gate in `scripts/check.sh` diffs.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"parallelism\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}}},\n",
-            self.key_count, self.value_size, self.seed
-        ));
-        s.push_str("  \"compaction_drain\": [\n");
-        for (i, d) in self.drains.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"max_subcompactions\": {}, \
-                 \"compact_read_mb\": {:.3}, \"drain_ms\": {:.3}, \"mb_per_s\": {:.3}, \
-                 \"speedup_vs_serial\": {:.3}, \"subcompactions_launched\": {}, \
-                 \"fallbacks\": {}}}{}\n",
-                d.device,
-                d.max_subcompactions,
-                d.compact_read_mb,
-                d.drain_ms,
-                d.mb_per_s,
-                d.speedup_vs_serial,
-                d.subcompactions_launched,
-                d.fallbacks,
-                if i + 1 == self.drains.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"multi_get\": [\n");
-        for (i, m) in self.multi_gets.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"batch\": {}, \
-                 \"batched_p50_us\": {:.3}, \"batched_p99_us\": {:.3}, \
-                 \"sequential_p50_us\": {:.3}, \"sequential_p99_us\": {:.3}, \
-                 \"p99_speedup\": {:.3}}}{}\n",
-                m.device,
-                m.batch,
-                m.batched_p50_us,
-                m.batched_p99_us,
-                m.sequential_p50_us,
-                m.sequential_p99_us,
-                m.p99_speedup,
-                if i + 1 == self.multi_gets.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// The report as printable tables (for the `figures` binary).
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut drain = Table::new(
-            "Parallelism: L0 debt drain throughput vs max_subcompactions",
-            &[
-                "device",
-                "subcompactions",
-                "mb_per_s",
-                "speedup",
-                "launched",
-                "fallbacks",
-            ],
-        );
-        for d in &self.drains {
-            drain.row(vec![
-                d.device.into(),
-                d.max_subcompactions.to_string(),
-                f(d.mb_per_s, 1),
-                f(d.speedup_vs_serial, 2),
-                d.subcompactions_launched.to_string(),
-                d.fallbacks.to_string(),
-            ]);
-        }
-        let mut mget = Table::new(
-            "Parallelism: batched MultiGet vs sequential gets (µs)",
-            &[
-                "device",
-                "batch",
-                "batched_p50",
-                "batched_p99",
-                "seq_p50",
-                "seq_p99",
-                "p99_speedup",
-            ],
-        );
-        for m in &self.multi_gets {
-            mget.row(vec![
-                m.device.into(),
-                m.batch.to_string(),
-                f(m.batched_p50_us, 1),
-                f(m.batched_p99_us, 1),
-                f(m.sequential_p50_us, 1),
-                f(m.sequential_p99_us, 1),
-                f(m.p99_speedup, 2),
-            ]);
-        }
-        vec![
-            ("parallelism_drain".into(), drain),
-            ("parallelism_multiget".into(), mget),
-        ]
-    }
+    Report::new("parallelism", cfg)
+        .with_section("compaction_drain", drains)
+        .with_section("multi_get", multi_gets)
 }

@@ -27,13 +27,13 @@
 //!   (Device-bound, the gate hides behind the device queue — the
 //!   point-miss and compression experiments cover that side.)
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{devices, label, with_testbed, BenchConfig};
+use crate::report::{ratio, row, Report, Row, TableSpec};
 use xlsm_core::experiment::Testbed;
-use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{CompressionType, DbOptions, Histogram, Ticker};
 use xlsm_sim::Runtime;
-use xlsm_workload::{fill_db, KeySpace};
+use xlsm_workload::KeySpace;
 
 /// Absent-key probes per point-miss measurement.
 const MISS_OPS: usize = 2_000;
@@ -53,85 +53,54 @@ pub const FANOUTS: [usize; 2] = [4, 8];
 /// Table-cache shard counts swept.
 pub const SHARDS: [usize; 2] = [1, 8];
 
-/// One point-miss measurement.
-#[derive(Clone, Debug)]
-pub struct PointMissPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// `"none"` or `"bloom"` (SST whole-key + memtable blooms).
-    pub filters: &'static str,
-    /// Level-0 files at measurement time (the Finding #2 depth).
-    pub l0_files: u64,
-    /// Miss lookups per second.
-    pub miss_kops: f64,
-    /// Miss latency, p50 in µs.
-    pub miss_p50_us: f64,
-    /// Miss latency, p99 in µs.
-    pub miss_p99_us: f64,
-    /// SST bloom rejections during the window (`BloomUseful`).
-    pub bloom_useful: u64,
-    /// Memtable bloom rejections during the window.
-    pub memtable_bloom_useful: u64,
-    /// Throughput relative to the filterless run on the same device.
-    pub speedup_vs_none: f64,
-}
-
-/// One compression measurement.
-#[derive(Clone, Debug)]
-pub struct CompressionPoint {
-    /// Device label.
-    pub device: &'static str,
-    /// Codec name (`none`, `rle`).
-    pub codec: &'static str,
-    /// Total SST bytes on disk, in MiB.
-    pub sst_mb: f64,
-    /// On-disk size relative to the uncompressed run (1.0 for `none`).
-    pub size_ratio: f64,
-    /// Present-key reads per second.
-    pub get_kops: f64,
-    /// Get latency, p50 in µs.
-    pub get_p50_us: f64,
-    /// Get latency, p99 in µs.
-    pub get_p99_us: f64,
-    /// Blocks decompressed during the read window.
-    pub decompressions: u64,
-}
-
-/// One MultiGet fan-out measurement.
-#[derive(Clone, Debug)]
-pub struct MultiGetPoint {
-    /// Device label.
-    pub device: &'static str,
-    /// Configured `multi_get_parallelism`.
-    pub fanout: usize,
-    /// Configured `table_cache_shards`.
-    pub shards: usize,
-    /// Keys resolved per second across the window.
-    pub kops: f64,
-    /// Batch latency, p50 in µs.
-    pub batch_p50_us: f64,
-    /// Batch latency, p99 in µs.
-    pub batch_p99_us: f64,
-    /// Throughput relative to the single-shard run at the same fan-out.
-    pub speedup_vs_single_shard: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct ReadPathReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Point-miss sweep: device-major, `none` before `bloom`.
-    pub point_miss: Vec<PointMissPoint>,
-    /// Compression sweep: device-major, `none` before `rle`.
-    pub compression: Vec<CompressionPoint>,
-    /// MultiGet sweep: device-major, then fan-out, 1 shard before 8.
-    pub multi_get: Vec<MultiGetPoint>,
-}
+/// The probe's printable tables.
+pub const TABLES: &[TableSpec] = &[
+    TableSpec {
+        name: "readpath_pointmiss",
+        title: "Read path: point-miss cost vs blooms under a deep Level-0",
+        section: "point_miss",
+        columns: &[
+            ("device", "device", 0),
+            ("filters", "filters", 0),
+            ("l0_files", "l0_files", 0),
+            ("miss_kops", "miss_kops", 1),
+            ("p50_us", "miss_p50_us", 1),
+            ("p99_us", "miss_p99_us", 1),
+            ("bloom_useful", "bloom_useful", 0),
+            ("mem_bloom", "memtable_bloom_useful", 0),
+            ("speedup", "speedup_vs_none", 2),
+        ],
+    },
+    TableSpec {
+        name: "readpath_compression",
+        title: "Read path: block compression, on-disk size vs read throughput",
+        section: "compression",
+        columns: &[
+            ("device", "device", 0),
+            ("codec", "codec", 0),
+            ("sst_mb", "sst_mb", 1),
+            ("size_ratio", "size_ratio", 2),
+            ("get_kops", "get_kops", 1),
+            ("p50_us", "get_p50_us", 1),
+            ("p99_us", "get_p99_us", 1),
+            ("decompressions", "decompressions", 0),
+        ],
+    },
+    TableSpec {
+        name: "readpath_multiget",
+        title: "Read path: MultiGet fan-out vs table-cache shards",
+        section: "multi_get",
+        columns: &[
+            ("device", "device", 0),
+            ("fanout", "fanout", 0),
+            ("shards", "shards", 0),
+            ("kops", "kops", 1),
+            ("batch_p50_us", "batch_p50_us", 1),
+            ("batch_p99_us", "batch_p99_us", 1),
+            ("speedup", "speedup_vs_single_shard", 2),
+        ],
+    },
+];
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
@@ -156,25 +125,24 @@ fn picker(seed: u64, count: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Point-miss probe on one device, with or without filters.
+/// Point-miss probe on one device, with or without filters (SST
+/// whole-key + memtable blooms).
 fn point_miss_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     filters: bool,
-) -> PointMissPoint {
+) -> Row {
     let cfg = *cfg;
-    Runtime::new().run(move || {
-        let opts = DbOptions {
-            bloom_bits_per_key: if filters { 10 } else { 0 },
-            memtable_bloom_bits: if filters { 10 } else { 0 },
-            // A deep Level-0 is the experiment, not a stall condition.
-            level0_slowdown_writes_trigger: 1 << 16,
-            level0_stop_writes_trigger: 1 << 16,
-            ..DbOptions::default()
-        };
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+    let opts = DbOptions {
+        bloom_bits_per_key: if filters { 10 } else { 0 },
+        memtable_bloom_bits: if filters { 10 } else { 0 },
+        // A deep Level-0 is the experiment, not a stall condition.
+        level0_slowdown_writes_trigger: 1 << 16,
+        level0_stop_writes_trigger: 1 << 16,
+        ..DbOptions::default()
+    };
+    with_testbed(profile, opts, &cfg, move |tb| {
         tb.db.flush().expect("flush");
         tb.db.wait_for_compactions();
 
@@ -215,19 +183,18 @@ fn point_miss_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        let point = PointMissPoint {
-            device,
-            filters: if filters { "bloom" } else { "none" },
-            l0_files,
-            miss_kops: kops(MISS_OPS, elapsed),
-            miss_p50_us: us(lat.quantile(0.5)),
-            miss_p99_us: us(lat.quantile(0.99)),
-            bloom_useful: stats.ticker(Ticker::BloomUseful) - bloom0,
-            memtable_bloom_useful: stats.ticker(Ticker::MemtableBloomUseful) - mbloom0,
-            speedup_vs_none: 1.0, // filled in by `run`
-        };
-        tb.close();
-        point
+        row! {
+            "device" => device,
+            "filters" => if filters { "bloom" } else { "none" },
+            // Level-0 files at measurement time (the Finding #2 depth).
+            "l0_files" => l0_files,
+            "miss_kops" => kops(MISS_OPS, elapsed),
+            "miss_p50_us" => us(lat.quantile(0.5)),
+            "miss_p99_us" => us(lat.quantile(0.99)),
+            "bloom_useful" => stats.ticker(Ticker::BloomUseful) - bloom0,
+            "memtable_bloom_useful" => stats.ticker(Ticker::MemtableBloomUseful) - mbloom0,
+            "speedup_vs_none" => 1.0, // filled in by `run`
+        }
     })
 }
 
@@ -237,7 +204,7 @@ fn compression_one(
     device: &'static str,
     cfg: &BenchConfig,
     codec: CompressionType,
-) -> CompressionPoint {
+) -> Row {
     let cfg = *cfg;
     Runtime::new().run(move || {
         let opts = DbOptions {
@@ -281,15 +248,16 @@ fn compression_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        let point = CompressionPoint {
-            device,
-            codec: codec.name(),
-            sst_mb: sst_bytes as f64 / (1 << 20) as f64,
-            size_ratio: 1.0, // filled in by `run`
-            get_kops: kops(COMPRESSED_READS, elapsed),
-            get_p50_us: us(lat.quantile(0.5)),
-            get_p99_us: us(lat.quantile(0.99)),
-            decompressions: stats.ticker(Ticker::BlockDecompressions) - dec0,
+        let point = row! {
+            "device" => device,
+            "codec" => codec.name(),
+            "sst_mb" => sst_bytes as f64 / (1 << 20) as f64,
+            // On-disk size relative to the uncompressed run.
+            "size_ratio" => 1.0, // filled in by `run`
+            "get_kops" => kops(COMPRESSED_READS, elapsed),
+            "get_p50_us" => us(lat.quantile(0.5)),
+            "get_p99_us" => us(lat.quantile(0.99)),
+            "decompressions" => stats.ticker(Ticker::BlockDecompressions) - dec0,
         };
         tb.close();
         point
@@ -303,24 +271,22 @@ fn multi_get_one(
     cfg: &BenchConfig,
     fanout: usize,
     shards: usize,
-) -> MultiGetPoint {
+) -> Row {
     let cfg = *cfg;
-    Runtime::new().run(move || {
-        let opts = DbOptions {
-            multi_get_parallelism: fanout,
-            table_cache_shards: shards,
-            // The experiment isolates the table-cache critical section, so
-            // the data must not hide behind device reads: a cache big
-            // enough for the whole dataset plus a warmup pass makes the
-            // timed window block-cache-resident.
-            block_cache_capacity: (cfg.dataset_bytes() * 2) as usize,
-            // A deep Level-0 is the experiment, not a stall condition.
-            level0_slowdown_writes_trigger: 1 << 16,
-            level0_stop_writes_trigger: 1 << 16,
-            ..DbOptions::default()
-        };
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+    let opts = DbOptions {
+        multi_get_parallelism: fanout,
+        table_cache_shards: shards,
+        // The experiment isolates the table-cache critical section, so
+        // the data must not hide behind device reads: a cache big
+        // enough for the whole dataset plus a warmup pass makes the
+        // timed window block-cache-resident.
+        block_cache_capacity: (cfg.dataset_bytes() * 2) as usize,
+        // A deep Level-0 is the experiment, not a stall condition.
+        level0_slowdown_writes_trigger: 1 << 16,
+        level0_stop_writes_trigger: 1 << 16,
+        ..DbOptions::default()
+    };
+    with_testbed(profile, opts, &cfg, move |tb| {
         tb.db.flush().expect("flush");
         tb.db.wait_for_compactions();
 
@@ -364,22 +330,23 @@ fn multi_get_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        let point = MultiGetPoint {
-            device,
-            fanout,
-            shards,
-            kops: kops(MULTIGET_ITERS * MULTIGET_BATCH, elapsed),
-            batch_p50_us: us(lat.quantile(0.5)),
-            batch_p99_us: us(lat.quantile(0.99)),
-            speedup_vs_single_shard: 1.0, // filled in by `run`
-        };
-        tb.close();
-        point
+        row! {
+            "device" => device,
+            "fanout" => fanout,
+            "shards" => shards,
+            // Keys resolved per second across the window.
+            "kops" => kops(MULTIGET_ITERS * MULTIGET_BATCH, elapsed),
+            "batch_p50_us" => us(lat.quantile(0.5)),
+            "batch_p99_us" => us(lat.quantile(0.99)),
+            "speedup_vs_single_shard" => 1.0, // filled in by `run`
+        }
     })
 }
 
-/// Runs the full probe over the three study devices.
-pub fn run(cfg: &BenchConfig) -> ReadPathReport {
+/// Runs the full probe over the three study devices. Each sweep is
+/// device-major; `none` runs before `bloom` and `rle`, one shard before
+/// eight.
+pub fn run(cfg: &BenchConfig) -> Report {
     let mut point_miss = Vec::new();
     let mut compression = Vec::new();
     let mut multi_get = Vec::new();
@@ -390,11 +357,8 @@ pub fn run(cfg: &BenchConfig) -> ReadPathReport {
         let base = point_miss_one(profile.clone(), device, cfg, false);
         eprintln!("[readpath] point-miss: {device}, blooms on");
         let mut bloom = point_miss_one(profile.clone(), device, cfg, true);
-        bloom.speedup_vs_none = if base.miss_kops == 0.0 {
-            0.0
-        } else {
-            bloom.miss_kops / base.miss_kops
-        };
+        let speedup = ratio(bloom.num("miss_kops"), base.num("miss_kops"));
+        bloom.set("speedup_vs_none", speedup);
         point_miss.push(base);
         point_miss.push(bloom);
 
@@ -402,11 +366,8 @@ pub fn run(cfg: &BenchConfig) -> ReadPathReport {
         let plain = compression_one(profile.clone(), device, cfg, CompressionType::None);
         eprintln!("[readpath] compression: {device}, rle");
         let mut rle = compression_one(profile.clone(), device, cfg, CompressionType::Rle);
-        rle.size_ratio = if plain.sst_mb == 0.0 {
-            0.0
-        } else {
-            rle.sst_mb / plain.sst_mb
-        };
+        let size_ratio = ratio(rle.num("sst_mb"), plain.num("sst_mb"));
+        rle.set("size_ratio", size_ratio);
         compression.push(plain);
         compression.push(rle);
 
@@ -416,189 +377,16 @@ pub fn run(cfg: &BenchConfig) -> ReadPathReport {
                 eprintln!("[readpath] multi_get: {device}, fanout {fanout}, {shards} shard(s)");
                 pair.push(multi_get_one(profile.clone(), device, cfg, fanout, shards));
             }
-            let single = pair[0].kops;
+            let single = pair[0].num("kops");
             for p in &mut pair {
-                p.speedup_vs_single_shard = if single == 0.0 { 0.0 } else { p.kops / single };
+                let speedup = ratio(p.num("kops"), single);
+                p.set("speedup_vs_single_shard", speedup);
             }
             multi_get.extend(pair);
         }
     }
-    ReadPathReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        point_miss,
-        compression,
-        multi_get,
-    }
-}
-
-impl ReadPathReport {
-    /// Serializes the report as JSON. Hand-rolled (the bench crate carries
-    /// no serde) with fixed field order and fixed-precision floats so runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"readpath\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}}},\n",
-            self.key_count, self.value_size, self.seed
-        ));
-        s.push_str("  \"point_miss\": [\n");
-        for (i, p) in self.point_miss.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"filters\": \"{}\", \"l0_files\": {}, \
-                 \"miss_kops\": {:.3}, \"miss_p50_us\": {:.3}, \"miss_p99_us\": {:.3}, \
-                 \"bloom_useful\": {}, \"memtable_bloom_useful\": {}, \
-                 \"speedup_vs_none\": {:.3}}}{}\n",
-                p.device,
-                p.filters,
-                p.l0_files,
-                p.miss_kops,
-                p.miss_p50_us,
-                p.miss_p99_us,
-                p.bloom_useful,
-                p.memtable_bloom_useful,
-                p.speedup_vs_none,
-                if i + 1 == self.point_miss.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"compression\": [\n");
-        for (i, c) in self.compression.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"codec\": \"{}\", \"sst_mb\": {:.3}, \
-                 \"size_ratio\": {:.3}, \"get_kops\": {:.3}, \"get_p50_us\": {:.3}, \
-                 \"get_p99_us\": {:.3}, \"decompressions\": {}}}{}\n",
-                c.device,
-                c.codec,
-                c.sst_mb,
-                c.size_ratio,
-                c.get_kops,
-                c.get_p50_us,
-                c.get_p99_us,
-                c.decompressions,
-                if i + 1 == self.compression.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"multi_get\": [\n");
-        for (i, m) in self.multi_get.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"fanout\": {}, \"shards\": {}, \
-                 \"kops\": {:.3}, \"batch_p50_us\": {:.3}, \"batch_p99_us\": {:.3}, \
-                 \"speedup_vs_single_shard\": {:.3}}}{}\n",
-                m.device,
-                m.fanout,
-                m.shards,
-                m.kops,
-                m.batch_p50_us,
-                m.batch_p99_us,
-                m.speedup_vs_single_shard,
-                if i + 1 == self.multi_get.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// The report as printable tables (for the `figures` binary).
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut miss = Table::new(
-            "Read path: point-miss cost vs blooms under a deep Level-0",
-            &[
-                "device",
-                "filters",
-                "l0_files",
-                "miss_kops",
-                "p50_us",
-                "p99_us",
-                "bloom_useful",
-                "mem_bloom",
-                "speedup",
-            ],
-        );
-        for p in &self.point_miss {
-            miss.row(vec![
-                p.device.into(),
-                p.filters.into(),
-                p.l0_files.to_string(),
-                f(p.miss_kops, 1),
-                f(p.miss_p50_us, 1),
-                f(p.miss_p99_us, 1),
-                p.bloom_useful.to_string(),
-                p.memtable_bloom_useful.to_string(),
-                f(p.speedup_vs_none, 2),
-            ]);
-        }
-        let mut comp = Table::new(
-            "Read path: block compression, on-disk size vs read throughput",
-            &[
-                "device",
-                "codec",
-                "sst_mb",
-                "size_ratio",
-                "get_kops",
-                "p50_us",
-                "p99_us",
-                "decompressions",
-            ],
-        );
-        for c in &self.compression {
-            comp.row(vec![
-                c.device.into(),
-                c.codec.into(),
-                f(c.sst_mb, 1),
-                f(c.size_ratio, 2),
-                f(c.get_kops, 1),
-                f(c.get_p50_us, 1),
-                f(c.get_p99_us, 1),
-                c.decompressions.to_string(),
-            ]);
-        }
-        let mut mget = Table::new(
-            "Read path: MultiGet fan-out vs table-cache shards",
-            &[
-                "device",
-                "fanout",
-                "shards",
-                "kops",
-                "batch_p50_us",
-                "batch_p99_us",
-                "speedup",
-            ],
-        );
-        for m in &self.multi_get {
-            mget.row(vec![
-                m.device.into(),
-                m.fanout.to_string(),
-                m.shards.to_string(),
-                f(m.kops, 1),
-                f(m.batch_p50_us, 1),
-                f(m.batch_p99_us, 1),
-                f(m.speedup_vs_single_shard, 2),
-            ]);
-        }
-        vec![
-            ("readpath_pointmiss".into(), miss),
-            ("readpath_compression".into(), comp),
-            ("readpath_multiget".into(), mget),
-        ]
-    }
+    Report::new("readpath", cfg)
+        .with_section("point_miss", point_miss)
+        .with_section("compression", compression)
+        .with_section("multi_get", multi_get)
 }

@@ -22,15 +22,13 @@
 //! trash, no pacing. Fully deterministic: same seed ⇒ byte-identical JSON
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{devices, label, with_testbed, BenchConfig};
+use crate::report::{ratio, row, Report, Row, TableSpec, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xlsm_core::experiment::Testbed;
-use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Ticker};
-use xlsm_sim::Runtime;
-use xlsm_workload::{fill_db, run_workload, WorkloadSpec};
+use xlsm_workload::{run_workload, WorkloadSpec};
 
 /// The reclamation-rate sweep, bytes/second (0 = legacy inline deletion).
 pub const RATES: [u64; 4] = [0, 2 << 20, 8 << 20, 32 << 20];
@@ -45,57 +43,41 @@ pub fn rate_label(rate: u64) -> String {
     }
 }
 
-/// One (device, reclamation-rate) measurement.
-#[derive(Clone, Debug)]
-pub struct SpacePoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// Reclamation rate label (`inline`, `2MiB/s`, ...).
-    pub rate: String,
-    /// Mean throughput over the run, kop/s.
-    pub kops: f64,
-    /// Client get latency p50, µs.
-    pub get_p50_us: f64,
-    /// Client get latency p99, µs.
-    pub get_p99_us: f64,
-    /// Client write latency p99, µs.
-    pub write_p99_us: f64,
-    /// Bytes that entered `trash/` over the run, MiB (0 when inline).
-    pub trashed_mib: f64,
-    /// Bytes reclaimed by the paced reaper over the run, MiB.
-    pub reclaimed_mib: f64,
-    /// Achieved reclamation throughput, MiB/s.
-    pub reclaim_mibps: f64,
-    /// Largest trash backlog observed during the run, MiB.
-    pub peak_backlog_mib: f64,
-    /// Backlog still queued when the window closed, MiB.
-    pub final_backlog_mib: f64,
-    /// Soft ENOSPC stalls entered during the run.
-    pub enospc_stalls: u64,
-    /// SpaceWatcher auto-resumes during the run.
-    pub auto_resumes: u64,
-    /// Compactions deferred because their output would not fit the cap.
-    pub compactions_deferred: u64,
-    /// Get p99 relative to the inline baseline on the same device.
-    pub get_p99_vs_inline: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct SpaceReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Space cap applied to every point, MiB.
-    pub cap_mib: f64,
-    /// Measured window per point, seconds (virtual).
-    pub window_secs: f64,
-    /// Sweep points: device-major, rates in [`RATES`] order (inline first).
-    pub points: Vec<SpacePoint>,
-}
+/// The probe's printable tables: the read-tail trade and the
+/// reclamation/backlog accounting.
+pub const TABLES: &[TableSpec] = &[
+    TableSpec {
+        name: "space_tail",
+        title: "Space: reclamation rate vs read tail latency (overwrite churn + reads)",
+        section: "points",
+        columns: &[
+            ("device", "device", 0),
+            ("rate", "rate", 0),
+            ("kops", "kops", 1),
+            ("get_p50_us", "get_p50_us", 1),
+            ("get_p99_us", "get_p99_us", 1),
+            ("write_p99_us", "write_p99_us", 1),
+            ("get_p99_vs_inline", "get_p99_vs_inline", 2),
+        ],
+    },
+    TableSpec {
+        name: "space_reclaim",
+        title: "Space: reclamation throughput and trash backlog under the cap",
+        section: "points",
+        columns: &[
+            ("device", "device", 0),
+            ("rate", "rate", 0),
+            ("trashed_mib", "trashed_mib", 1),
+            ("reclaimed_mib", "reclaimed_mib", 1),
+            ("reclaim_mibps", "reclaim_mibps", 1),
+            ("peak_backlog_mib", "peak_backlog_mib", 1),
+            ("final_backlog_mib", "final_backlog_mib", 1),
+            ("enospc_stalls", "enospc_stalls", 0),
+            ("auto_resumes", "auto_resumes", 0),
+            ("deferred", "compactions_deferred", 0),
+        ],
+    },
+];
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
@@ -132,21 +114,17 @@ fn cap_bytes(cfg: &BenchConfig) -> u64 {
 }
 
 /// Runs one (device, rate) point in its own sim runtime.
-fn run_point(
-    profile: DeviceProfile,
-    device: &'static str,
-    cfg: &BenchConfig,
-    rate: u64,
-) -> SpacePoint {
-    let cfg = *cfg;
-    Runtime::new().run(move || {
-        let tb = Testbed::new(profile, churn_geometry(&cfg, rate), cfg.dataset_bytes())
-            .expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+fn run_point(profile: DeviceProfile, device: &'static str, cfg: &BenchConfig, rate: u64) -> Row {
+    let spec: WorkloadSpec = cfg
+        .spec()
+        .with_threads(4)
+        .with_write_fraction(0.5)
+        .with_duration(cfg.duration * 2);
+    with_testbed(profile, churn_geometry(cfg, rate), cfg, move |tb| {
         tb.db.flush().expect("fill flush");
         tb.db.wait_for_compactions();
         // Counters from here on cover exactly the measured churn window.
-        let trashed0 = tb.db.stats().ticker(Ticker::TrashQueueBytes);
+        let trashed0 = tb.db.stats().ticker(Ticker::TrashedBytes);
         let reclaimed0 = tb.db.stats().ticker(Ticker::SpaceReclaimedBytes);
 
         // A virtual-time sampler tracks the backlog's high-water mark while
@@ -165,11 +143,6 @@ fn run_point(
             })
         };
 
-        let spec: WorkloadSpec = cfg
-            .spec()
-            .with_threads(4)
-            .with_write_fraction(0.5)
-            .with_duration(cfg.duration * 2);
         let t0 = xlsm_sim::now_nanos();
         let r = run_workload(&tb.db, &spec);
         let t1 = xlsm_sim::now_nanos();
@@ -179,167 +152,55 @@ fn run_point(
         let stats = tb.db.stats();
         let window_secs = (t1 - t0) as f64 / 1e9;
         let reclaimed = stats.ticker(Ticker::SpaceReclaimedBytes) - reclaimed0;
-        let point = SpacePoint {
-            device,
-            rate: rate_label(rate),
-            kops: r.kops(),
-            get_p50_us: us(stats.get_latency.quantile(0.5)),
-            get_p99_us: us(stats.get_latency.quantile(0.99)),
-            write_p99_us: us(stats.write_latency.quantile(0.99)),
-            trashed_mib: mib(stats.ticker(Ticker::TrashQueueBytes) - trashed0),
-            reclaimed_mib: mib(reclaimed),
-            reclaim_mibps: if window_secs > 0.0 {
+        row! {
+            "device" => device,
+            "rate" => rate_label(rate),
+            "kops" => r.kops(),
+            "get_p50_us" => us(stats.get_latency.quantile(0.5)),
+            "get_p99_us" => us(stats.get_latency.quantile(0.99)),
+            "write_p99_us" => us(stats.write_latency.quantile(0.99)),
+            // Bytes that entered `trash/` over the run (0 when inline).
+            "trashed_mib" => mib(stats.ticker(Ticker::TrashedBytes) - trashed0),
+            "reclaimed_mib" => mib(reclaimed),
+            "reclaim_mibps" => if window_secs > 0.0 {
                 mib(reclaimed) / window_secs
             } else {
                 0.0
             },
-            peak_backlog_mib: mib(peak_backlog),
-            final_backlog_mib: mib(tb.db.trash_queued_bytes()),
-            enospc_stalls: stats.ticker(Ticker::EnospcStalls),
-            auto_resumes: stats.ticker(Ticker::BackgroundAutoResumes),
-            compactions_deferred: stats.ticker(Ticker::SpaceCompactionsDeferred),
+            "peak_backlog_mib" => mib(peak_backlog),
+            "final_backlog_mib" => mib(tb.db.trash_queued_bytes()),
+            "enospc_stalls" => stats.ticker(Ticker::EnospcStalls),
+            "auto_resumes" => stats.ticker(Ticker::BackgroundAutoResumes),
+            "compactions_deferred" => stats.ticker(Ticker::SpaceCompactionsDeferred),
             // Filled in by `run` once the device's inline baseline exists.
-            get_p99_vs_inline: 1.0,
-        };
-        tb.close();
-        point
+            "get_p99_vs_inline" => 1.0,
+        }
     })
 }
 
-/// Runs the full (device × reclamation-rate) sweep.
-pub fn run(cfg: &BenchConfig) -> SpaceReport {
+/// Runs the full (device × reclamation-rate) sweep: device-major, rates in
+/// [`RATES`] order (inline first).
+pub fn run(cfg: &BenchConfig) -> Report {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
-        let mut device_points: Vec<SpacePoint> = Vec::new();
+        let mut device_points: Vec<Row> = Vec::new();
         for rate in RATES {
             eprintln!("[space] {device}: rate {}", rate_label(rate));
             let mut p = run_point(profile.clone(), device, cfg, rate);
             if let Some(base) = device_points.first() {
-                p.get_p99_vs_inline = if base.get_p99_us > 0.0 {
-                    p.get_p99_us / base.get_p99_us
-                } else {
-                    0.0
-                };
+                let r = ratio(p.num("get_p99_us"), base.num("get_p99_us"));
+                p.set("get_p99_vs_inline", r);
             }
             device_points.push(p);
         }
         points.append(&mut device_points);
     }
-    SpaceReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        cap_mib: mib(cap_bytes(cfg)),
-        window_secs: cfg.duration.as_secs_f64() * 2.0,
-        points,
-    }
-}
-
-impl SpaceReport {
-    /// Serializes the report as JSON. Hand-rolled (no serde in the bench
-    /// crate) with fixed field order and fixed-precision floats so two runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"space\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}, \
-             \"cap_mib\": {:.1}, \"window_secs\": {:.1}}},\n",
-            self.key_count, self.value_size, self.seed, self.cap_mib, self.window_secs
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"rate\": \"{}\", \"kops\": {:.3}, \
-                 \"get_p50_us\": {:.3}, \"get_p99_us\": {:.3}, \"write_p99_us\": {:.3}, \
-                 \"trashed_mib\": {:.3}, \"reclaimed_mib\": {:.3}, \
-                 \"reclaim_mibps\": {:.3}, \"peak_backlog_mib\": {:.3}, \
-                 \"final_backlog_mib\": {:.3}, \"enospc_stalls\": {}, \
-                 \"auto_resumes\": {}, \"compactions_deferred\": {}, \
-                 \"get_p99_vs_inline\": {:.3}}}{}\n",
-                p.device,
-                p.rate,
-                p.kops,
-                p.get_p50_us,
-                p.get_p99_us,
-                p.write_p99_us,
-                p.trashed_mib,
-                p.reclaimed_mib,
-                p.reclaim_mibps,
-                p.peak_backlog_mib,
-                p.final_backlog_mib,
-                p.enospc_stalls,
-                p.auto_resumes,
-                p.compactions_deferred,
-                p.get_p99_vs_inline,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// The report as printable tables (for the `figures` binary): the
-    /// read-tail trade and the reclamation/backlog accounting.
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut tail = Table::new(
-            "Space: reclamation rate vs read tail latency (overwrite churn + reads)",
-            &[
-                "device",
-                "rate",
-                "kops",
-                "get_p50_us",
-                "get_p99_us",
-                "write_p99_us",
-                "get_p99_vs_inline",
-            ],
-        );
-        let mut reclaim = Table::new(
-            "Space: reclamation throughput and trash backlog under the cap",
-            &[
-                "device",
-                "rate",
-                "trashed_mib",
-                "reclaimed_mib",
-                "reclaim_mibps",
-                "peak_backlog_mib",
-                "final_backlog_mib",
-                "enospc_stalls",
-                "auto_resumes",
-                "deferred",
-            ],
-        );
-        for p in &self.points {
-            tail.row(vec![
-                p.device.into(),
-                p.rate.clone(),
-                f(p.kops, 1),
-                f(p.get_p50_us, 1),
-                f(p.get_p99_us, 1),
-                f(p.write_p99_us, 1),
-                f(p.get_p99_vs_inline, 2),
-            ]);
-            reclaim.row(vec![
-                p.device.into(),
-                p.rate.clone(),
-                f(p.trashed_mib, 1),
-                f(p.reclaimed_mib, 1),
-                f(p.reclaim_mibps, 1),
-                f(p.peak_backlog_mib, 1),
-                f(p.final_backlog_mib, 1),
-                p.enospc_stalls.to_string(),
-                p.auto_resumes.to_string(),
-                p.compactions_deferred.to_string(),
-            ]);
-        }
-        vec![
-            ("space_tail".into(), tail),
-            ("space_reclaim".into(), reclaim),
-        ]
-    }
+    Report::new("space", cfg)
+        .with_config("cap_mib", Value::Float(mib(cap_bytes(cfg)), 1))
+        .with_config(
+            "window_secs",
+            Value::Float(cfg.duration.as_secs_f64() * 2.0, 1),
+        )
+        .with_section("points", points)
 }

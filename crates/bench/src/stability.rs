@@ -18,88 +18,76 @@
 //!   latency histogram (the summary type stops at p99).
 //!
 //! Policies swept: the three compaction schedulers (greedy baseline,
-//! round-robin, fair+shared-I/O-budget) and the paper's two case-study
-//! mechanisms (two-stage throttling, dynamic L0) — all members of
-//! [`xlsm_core::StabilityPolicy`], so scheduler-side and foreground-side
-//! interventions land in the same table.
+//! round-robin, fair+shared-I/O-budget) and the paper's two-stage
+//! throttling case study — all members of [`xlsm_core::StabilityPolicy`],
+//! so scheduler-side and foreground-side interventions land in the same
+//! table.
 //!
 //! Fully deterministic: same seed ⇒ byte-identical JSON
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{devices, label, with_testbed, BenchConfig};
+use crate::report::{ratio, row, Report, Row, TableSpec, Value};
 use std::sync::Arc;
-use xlsm_core::experiment::Testbed;
-use xlsm_core::report::{f, Table};
 use xlsm_core::StabilityPolicy;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{episode_durations, DbOptions, Ticker};
-use xlsm_sim::Runtime;
-use xlsm_workload::{fill_db, run_workload, BurstSpec, WorkloadSpec};
+use xlsm_workload::{run_workload, BurstSpec, WorkloadSpec};
 
 /// Episode-duration CDF thresholds, in milliseconds.
 pub const CDF_THRESHOLDS_MS: [u64; 5] = [10, 50, 100, 500, 1000];
 
-/// One (device, policy) measurement.
-#[derive(Clone, Debug)]
-pub struct StabilityPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// Policy label (`greedy`, `round-robin`, `fair`, `two-stage`,
-    /// `dynamic-l0`).
-    pub policy: &'static str,
-    /// Mean throughput over the run, kop/s.
-    pub kops: f64,
-    /// Coefficient of variation (σ/µ) across 100 ms timeline buckets.
-    pub cv: f64,
-    /// Worst 100 ms bucket, kop/s (near-stop depth).
-    pub min_bucket_kops: f64,
-    /// Client write latency p50, µs.
-    pub write_p50_us: f64,
-    /// Client write latency p99, µs.
-    pub write_p99_us: f64,
-    /// Client write latency p99.9, µs.
-    pub write_p999_us: f64,
-    /// Stall episodes observed in the window.
-    pub episodes: usize,
-    /// Episode duration p50, ms.
-    pub ep_p50_ms: f64,
-    /// Episode duration p90, ms.
-    pub ep_p90_ms: f64,
-    /// Episode duration p99, ms.
-    pub ep_p99_ms: f64,
-    /// Longest episode, ms.
-    pub ep_max_ms: f64,
-    /// Fraction of the window spent inside stall episodes, percent.
-    pub stalled_pct: f64,
-    /// Fraction of episodes no longer than each [`CDF_THRESHOLDS_MS`]
-    /// entry.
-    pub episode_cdf: [f64; 5],
-    /// Total time background jobs waited on the shared I/O budget, ms
-    /// (0 for policies that leave the limiter off).
-    pub bg_io_wait_ms: f64,
-    /// Mean kop/s relative to the greedy baseline on the same device.
-    pub kops_vs_greedy: f64,
-    /// Episode p99 relative to greedy (< 1.0 = shorter stalls).
-    pub ep_p99_vs_greedy: f64,
-    /// Throughput CV relative to greedy (< 1.0 = steadier).
-    pub cv_vs_greedy: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct StabilityReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Measured window per point, seconds (virtual).
-    pub window_secs: f64,
-    /// Sweep points: device-major, policies in [`StabilityPolicy::ALL`]
-    /// order (greedy first).
-    pub points: Vec<StabilityPoint>,
-}
+/// The probe's printable tables: throughput variance, stall-episode
+/// quantiles, and the episode CDF.
+pub const TABLES: &[TableSpec] = &[
+    TableSpec {
+        name: "stability_throughput",
+        title: "Stability: throughput variance under periodic write bursts",
+        section: "points",
+        columns: &[
+            ("device", "device", 0),
+            ("policy", "policy", 0),
+            ("kops", "kops", 1),
+            ("cv", "cv", 3),
+            ("min_bucket", "min_bucket_kops", 1),
+            ("write_p99_us", "write_p99_us", 1),
+            ("write_p999_us", "write_p999_us", 1),
+            ("kops_vs_greedy", "kops_vs_greedy", 2),
+            ("cv_vs_greedy", "cv_vs_greedy", 2),
+        ],
+    },
+    TableSpec {
+        name: "stability_stalls",
+        title: "Stability: stall-episode durations (controller-level spans)",
+        section: "points",
+        columns: &[
+            ("device", "device", 0),
+            ("policy", "policy", 0),
+            ("episodes", "episodes", 0),
+            ("ep_p50_ms", "ep_p50_ms", 1),
+            ("ep_p90_ms", "ep_p90_ms", 1),
+            ("ep_p99_ms", "ep_p99_ms", 1),
+            ("ep_max_ms", "ep_max_ms", 1),
+            ("stalled_pct", "stalled_pct", 1),
+            ("bg_io_wait_ms", "bg_io_wait_ms", 1),
+            ("p99_vs_greedy", "ep_p99_vs_greedy", 2),
+        ],
+    },
+    TableSpec {
+        name: "stability_cdf",
+        title: "Stability: stall-episode duration CDF (fraction of episodes <= threshold)",
+        section: "points",
+        columns: &[
+            ("device", "device", 0),
+            ("policy", "policy", 0),
+            ("le_10ms", "episode_cdf[0]", 2),
+            ("le_50ms", "episode_cdf[1]", 2),
+            ("le_100ms", "episode_cdf[2]", 2),
+            ("le_500ms", "episode_cdf[3]", 2),
+            ("le_1s", "episode_cdf[4]", 2),
+        ],
+    },
+];
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
@@ -160,19 +148,15 @@ fn run_point(
     device: &'static str,
     cfg: &BenchConfig,
     policy: StabilityPolicy,
-) -> StabilityPoint {
-    let cfg = *cfg;
-    Runtime::new().run(move || {
-        let mut opts = stall_geometry();
-        policy.apply(&mut opts);
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+) -> Row {
+    let mut opts = stall_geometry();
+    policy.apply(&mut opts);
+    let spec = burst_spec(cfg);
+    with_testbed(profile, opts, cfg, move |tb| {
         // Drain fill-phase controller transitions so the episode window
         // covers exactly the measured run.
         let _ = tb.db.metrics();
-        let companion = policy.attach(&tb.db);
 
-        let spec = burst_spec(&cfg);
         let t0 = xlsm_sim::now_nanos();
         let r = run_workload(&tb.db, &spec);
         let t1 = xlsm_sim::now_nanos();
@@ -180,10 +164,12 @@ fn run_point(
         let stats = Arc::clone(tb.db.stats());
         let write_hist = &stats.write_latency;
         let m = tb.db.metrics();
+        // Contiguous non-`Clear` controller spans, one entry per episode.
         let mut eps = episode_durations(&m.stall_events, t0, t1);
         eps.sort_unstable();
         let window = (t1 - t0).max(1);
         let stalled: u64 = eps.iter().sum();
+        // Fraction of episodes no longer than each CDF threshold.
         let mut episode_cdf = [0.0f64; 5];
         if !eps.is_empty() {
             for (slot, thr) in episode_cdf.iter_mut().zip(CDF_THRESHOLDS_MS) {
@@ -195,206 +181,63 @@ fn run_point(
         let mean = buckets.iter().sum::<f64>() / buckets.len().max(1) as f64;
         let var =
             buckets.iter().map(|k| (k - mean).powi(2)).sum::<f64>() / buckets.len().max(1) as f64;
+        // Coefficient of variation (σ/µ) across 100 ms timeline buckets.
         let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
 
-        let point = StabilityPoint {
-            device,
-            policy: policy.name(),
-            kops: r.kops(),
-            cv,
-            min_bucket_kops: r.min_bucket_kops(),
-            write_p50_us: us(write_hist.quantile(0.5)),
-            write_p99_us: us(write_hist.quantile(0.99)),
-            write_p999_us: us(write_hist.quantile(0.999)),
-            episodes: eps.len(),
-            ep_p50_ms: ms(quantile_ns(&eps, 0.5)),
-            ep_p90_ms: ms(quantile_ns(&eps, 0.9)),
-            ep_p99_ms: ms(quantile_ns(&eps, 0.99)),
-            ep_max_ms: ms(eps.last().copied().unwrap_or(0)),
-            stalled_pct: stalled as f64 / window as f64 * 100.0,
-            episode_cdf,
-            bg_io_wait_ms: stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6,
+        row! {
+            "device" => device,
+            "policy" => policy.name(),
+            "kops" => r.kops(),
+            "cv" => cv,
+            "min_bucket_kops" => r.min_bucket_kops(),
+            "write_p50_us" => us(write_hist.quantile(0.5)),
+            "write_p99_us" => us(write_hist.quantile(0.99)),
+            "write_p999_us" => us(write_hist.quantile(0.999)),
+            "episodes" => eps.len(),
+            "ep_p50_ms" => ms(quantile_ns(&eps, 0.5)),
+            "ep_p90_ms" => ms(quantile_ns(&eps, 0.9)),
+            "ep_p99_ms" => ms(quantile_ns(&eps, 0.99)),
+            "ep_max_ms" => ms(eps.last().copied().unwrap_or(0)),
+            "stalled_pct" => stalled as f64 / window as f64 * 100.0,
+            "episode_cdf" => episode_cdf,
+            // Time background jobs waited on the shared I/O budget.
+            "bg_io_wait_ms" => stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6,
             // Filled in by `run` once the device's greedy baseline exists.
-            kops_vs_greedy: 1.0,
-            ep_p99_vs_greedy: 1.0,
-            cv_vs_greedy: 1.0,
-        };
-        companion.stop();
-        tb.close();
-        point
+            "kops_vs_greedy" => 1.0,
+            "ep_p99_vs_greedy" => 1.0,
+            "cv_vs_greedy" => 1.0,
+        }
     })
 }
 
-/// Runs the full (device × policy) sweep.
-pub fn run(cfg: &BenchConfig) -> StabilityReport {
+/// Runs the full (device × policy) sweep: device-major, policies in
+/// [`StabilityPolicy::ALL`] order (greedy first).
+pub fn run(cfg: &BenchConfig) -> Report {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
-        let mut device_points: Vec<StabilityPoint> = Vec::new();
+        let mut device_points: Vec<Row> = Vec::new();
         for policy in StabilityPolicy::ALL {
             eprintln!("[stability] {device}: {}", policy.name());
             let mut p = run_point(profile.clone(), device, cfg, policy);
             if let Some(base) = device_points.first() {
-                p.kops_vs_greedy = if base.kops > 0.0 {
-                    p.kops / base.kops
-                } else {
-                    0.0
-                };
-                p.ep_p99_vs_greedy = if base.ep_p99_ms > 0.0 {
-                    p.ep_p99_ms / base.ep_p99_ms
-                } else {
-                    0.0
-                };
-                p.cv_vs_greedy = if base.cv > 0.0 { p.cv / base.cv } else { 0.0 };
+                for (key, ratio_key) in [
+                    ("kops", "kops_vs_greedy"),
+                    ("ep_p99_ms", "ep_p99_vs_greedy"),
+                    ("cv", "cv_vs_greedy"),
+                ] {
+                    let r = ratio(p.num(key), base.num(key));
+                    p.set(ratio_key, r);
+                }
             }
             device_points.push(p);
         }
         points.append(&mut device_points);
     }
-    StabilityReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        window_secs: cfg.duration.as_secs_f64() * 4.0,
-        points,
-    }
-}
-
-impl StabilityReport {
-    /// Serializes the report as JSON. Hand-rolled (no serde in the bench
-    /// crate) with fixed field order and fixed-precision floats so two runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"stability\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}, \
-             \"window_secs\": {:.1}}},\n",
-            self.key_count, self.value_size, self.seed, self.window_secs
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let cdf = p
-                .episode_cdf
-                .iter()
-                .map(|v| format!("{v:.3}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"policy\": \"{}\", \"kops\": {:.3}, \
-                 \"cv\": {:.3}, \"min_bucket_kops\": {:.3}, \
-                 \"write_p50_us\": {:.3}, \"write_p99_us\": {:.3}, \"write_p999_us\": {:.3}, \
-                 \"episodes\": {}, \"ep_p50_ms\": {:.3}, \"ep_p90_ms\": {:.3}, \
-                 \"ep_p99_ms\": {:.3}, \"ep_max_ms\": {:.3}, \"stalled_pct\": {:.3}, \
-                 \"episode_cdf\": [{}], \"bg_io_wait_ms\": {:.3}, \
-                 \"kops_vs_greedy\": {:.3}, \"ep_p99_vs_greedy\": {:.3}, \
-                 \"cv_vs_greedy\": {:.3}}}{}\n",
-                p.device,
-                p.policy,
-                p.kops,
-                p.cv,
-                p.min_bucket_kops,
-                p.write_p50_us,
-                p.write_p99_us,
-                p.write_p999_us,
-                p.episodes,
-                p.ep_p50_ms,
-                p.ep_p90_ms,
-                p.ep_p99_ms,
-                p.ep_max_ms,
-                p.stalled_pct,
-                cdf,
-                p.bg_io_wait_ms,
-                p.kops_vs_greedy,
-                p.ep_p99_vs_greedy,
-                p.cv_vs_greedy,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// The report as printable tables (for the `figures` binary):
-    /// throughput variance, stall-episode quantiles, and the episode CDF.
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut tput = Table::new(
-            "Stability: throughput variance under periodic write bursts",
-            &[
-                "device",
-                "policy",
-                "kops",
-                "cv",
-                "min_bucket",
-                "write_p99_us",
-                "write_p999_us",
-                "kops_vs_greedy",
-                "cv_vs_greedy",
-            ],
-        );
-        let mut stalls = Table::new(
-            "Stability: stall-episode durations (controller-level spans)",
-            &[
-                "device",
-                "policy",
-                "episodes",
-                "ep_p50_ms",
-                "ep_p90_ms",
-                "ep_p99_ms",
-                "ep_max_ms",
-                "stalled_pct",
-                "bg_io_wait_ms",
-                "p99_vs_greedy",
-            ],
-        );
-        let mut cdf = Table::new(
-            "Stability: stall-episode duration CDF (fraction of episodes <= threshold)",
-            &[
-                "device", "policy", "le_10ms", "le_50ms", "le_100ms", "le_500ms", "le_1s",
-            ],
-        );
-        for p in &self.points {
-            tput.row(vec![
-                p.device.into(),
-                p.policy.into(),
-                f(p.kops, 1),
-                f(p.cv, 3),
-                f(p.min_bucket_kops, 1),
-                f(p.write_p99_us, 1),
-                f(p.write_p999_us, 1),
-                f(p.kops_vs_greedy, 2),
-                f(p.cv_vs_greedy, 2),
-            ]);
-            stalls.row(vec![
-                p.device.into(),
-                p.policy.into(),
-                p.episodes.to_string(),
-                f(p.ep_p50_ms, 1),
-                f(p.ep_p90_ms, 1),
-                f(p.ep_p99_ms, 1),
-                f(p.ep_max_ms, 1),
-                f(p.stalled_pct, 1),
-                f(p.bg_io_wait_ms, 1),
-                f(p.ep_p99_vs_greedy, 2),
-            ]);
-            cdf.row(vec![
-                p.device.into(),
-                p.policy.into(),
-                f(p.episode_cdf[0], 2),
-                f(p.episode_cdf[1], 2),
-                f(p.episode_cdf[2], 2),
-                f(p.episode_cdf[3], 2),
-                f(p.episode_cdf[4], 2),
-            ]);
-        }
-        vec![
-            ("stability_throughput".into(), tput),
-            ("stability_stalls".into(), stalls),
-            ("stability_cdf".into(), cdf),
-        ]
-    }
+    Report::new("stability", cfg)
+        .with_config(
+            "window_secs",
+            Value::Float(cfg.duration.as_secs_f64() * 4.0, 1),
+        )
+        .with_section("points", points)
 }

@@ -22,14 +22,11 @@
 //! Fully deterministic: same seed ⇒ byte-identical JSON
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{devices, label, with_testbed, BenchConfig};
+use crate::report::{ratio, row, Report, Row, TableSpec};
 use std::sync::Arc;
-use xlsm_core::experiment::Testbed;
-use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Histogram, Ticker};
-use xlsm_sim::Runtime;
-use xlsm_workload::fill_db;
 
 /// Writer-thread counts swept per device (the paper sweeps client threads
 /// the same way in Figs. 15–16).
@@ -47,43 +44,22 @@ const OPS_PER_WRITER: usize = 256;
 /// fill still uses the configured value size.
 const PUT_VALUE_SIZE: usize = 128;
 
-/// One measurement point.
-#[derive(Clone, Debug)]
-pub struct WritePathPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// Concurrent writer threads.
-    pub writers: usize,
-    /// `"serial"` or `"concurrent"` memtable apply.
-    pub mode: &'static str,
-    /// Put latency, p50 in µs.
-    pub put_p50_us: f64,
-    /// Put latency, p99 in µs.
-    pub put_p99_us: f64,
-    /// Mean writer-queue depth sampled at group commits.
-    pub avg_queue_depth: f64,
-    /// Mean member batches per write group.
-    pub avg_group_batches: f64,
-    /// `ConcurrentMemtableApplies` ticker over the window.
-    pub concurrent_applies: u64,
-    /// Serial p99 / this p99 on the same (device, writers) point; 1.0 for
-    /// the serial rows.
-    pub p99_speedup_vs_serial: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct WritePathReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Sweep points: device-major, then writer count, serial before
-    /// concurrent.
-    pub points: Vec<WritePathPoint>,
-}
+/// The probe's printable table.
+pub const TABLES: &[TableSpec] = &[TableSpec {
+    name: "writepath",
+    title: "Write path: put latency vs writers, serial vs concurrent memtable apply",
+    section: "put_latency",
+    columns: &[
+        ("device", "device", 0),
+        ("writers", "writers", 0),
+        ("mode", "mode", 0),
+        ("put_p50_us", "put_p50_us", 1),
+        ("put_p99_us", "put_p99_us", 1),
+        ("queue_depth", "avg_queue_depth", 2),
+        ("group_batches", "avg_group_batches", 2),
+        ("p99_speedup", "p99_speedup_vs_serial", 2),
+    ],
+}];
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
@@ -96,28 +72,25 @@ fn run_point(
     cfg: &BenchConfig,
     writers: usize,
     concurrent: bool,
-) -> WritePathPoint {
-    let cfg = *cfg;
-    Runtime::new().run(move || {
-        // Lift the Algorithm-1 stall triggers and give the memtables some
-        // slack: controller pacing and flush backpressure would otherwise
-        // dominate the tail on every device and bury the write-path
-        // serialization this probe isolates (the drain probe lifts its
-        // triggers for the same reason).
-        let opts = DbOptions {
-            allow_concurrent_memtable_write: concurrent,
-            write_buffer_size: 8 << 20,
-            max_write_buffer_number: 4,
-            // Smooth the periodic WAL page-cache push: with the default
-            // threshold one unlucky group absorbs a large flush and that
-            // single commit owns p99 in BOTH modes, hiding the stage cost.
-            wal_bytes_per_sync: 4 << 10,
-            level0_slowdown_writes_trigger: 1 << 16,
-            level0_stop_writes_trigger: 1 << 16,
-            ..DbOptions::default()
-        };
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+) -> Row {
+    // Lift the Algorithm-1 stall triggers and give the memtables some
+    // slack: controller pacing and flush backpressure would otherwise
+    // dominate the tail on every device and bury the write-path
+    // serialization this probe isolates (the drain probe lifts its
+    // triggers for the same reason).
+    let opts = DbOptions {
+        allow_concurrent_memtable_write: concurrent,
+        write_buffer_size: 8 << 20,
+        max_write_buffer_number: 4,
+        // Smooth the periodic WAL page-cache push: with the default
+        // threshold one unlucky group absorbs a large flush and that
+        // single commit owns p99 in BOTH modes, hiding the stage cost.
+        wal_bytes_per_sync: 4 << 10,
+        level0_slowdown_writes_trigger: 1 << 16,
+        level0_stop_writes_trigger: 1 << 16,
+        ..DbOptions::default()
+    };
+    with_testbed(profile, opts, cfg, move |tb| {
         tb.db.flush().expect("flush");
         tb.db.wait_for_compactions();
         let stats = Arc::clone(tb.db.stats());
@@ -143,25 +116,26 @@ fn run_point(
             h.join();
         }
 
-        let group_batches = stats.write_group_batches.summary();
-        let point = WritePathPoint {
-            device,
-            writers,
-            mode: if concurrent { "concurrent" } else { "serial" },
-            put_p50_us: us(put_latency.quantile(0.5)),
-            put_p99_us: us(put_latency.quantile(0.99)),
-            avg_queue_depth: stats.avg_waiting_writers(),
-            avg_group_batches: group_batches.mean_ns as f64,
-            concurrent_applies: stats.ticker(Ticker::ConcurrentMemtableApplies),
-            p99_speedup_vs_serial: 1.0, // filled in by `run`
-        };
-        tb.close();
-        point
+        row! {
+            "device" => device,
+            "writers" => writers,
+            "mode" => if concurrent { "concurrent" } else { "serial" },
+            "put_p50_us" => us(put_latency.quantile(0.5)),
+            "put_p99_us" => us(put_latency.quantile(0.99)),
+            // Mean writer-queue depth sampled at group commits.
+            "avg_queue_depth" => stats.avg_waiting_writers(),
+            "avg_group_batches" => stats.write_group_batches.summary().mean_ns as f64,
+            "concurrent_applies" => stats.ticker(Ticker::ConcurrentMemtableApplies),
+            // Serial p99 / this p99 on the same (device, writers) point;
+            // 1.0 for the serial rows.
+            "p99_speedup_vs_serial" => 1.0,
+        }
     })
 }
 
-/// Runs the full sweep over the three study devices.
-pub fn run(cfg: &BenchConfig) -> WritePathReport {
+/// Runs the full sweep over the three study devices: device-major, then
+/// writer count, serial before concurrent.
+pub fn run(cfg: &BenchConfig) -> Report {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
@@ -170,88 +144,11 @@ pub fn run(cfg: &BenchConfig) -> WritePathReport {
             let serial = run_point(profile.clone(), device, cfg, writers, false);
             eprintln!("[writepath] {device}: {writers} writers, concurrent");
             let mut conc = run_point(profile.clone(), device, cfg, writers, true);
-            conc.p99_speedup_vs_serial = if conc.put_p99_us == 0.0 {
-                0.0
-            } else {
-                serial.put_p99_us / conc.put_p99_us
-            };
+            let speedup = ratio(serial.num("put_p99_us"), conc.num("put_p99_us"));
+            conc.set("p99_speedup_vs_serial", speedup);
             points.push(serial);
             points.push(conc);
         }
     }
-    WritePathReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        points,
-    }
-}
-
-impl WritePathReport {
-    /// Serializes the report as JSON. Hand-rolled (no serde in the bench
-    /// crate) with fixed field order and fixed-precision floats so two runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"writepath\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}}},\n",
-            self.key_count, self.value_size, self.seed
-        ));
-        s.push_str("  \"put_latency\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"writers\": {}, \"mode\": \"{}\", \
-                 \"put_p50_us\": {:.3}, \"put_p99_us\": {:.3}, \"avg_queue_depth\": {:.3}, \
-                 \"avg_group_batches\": {:.3}, \"concurrent_applies\": {}, \
-                 \"p99_speedup_vs_serial\": {:.3}}}{}\n",
-                p.device,
-                p.writers,
-                p.mode,
-                p.put_p50_us,
-                p.put_p99_us,
-                p.avg_queue_depth,
-                p.avg_group_batches,
-                p.concurrent_applies,
-                p.p99_speedup_vs_serial,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// The report as a printable table (for the `figures` binary).
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut t = Table::new(
-            "Write path: put latency vs writers, serial vs concurrent memtable apply",
-            &[
-                "device",
-                "writers",
-                "mode",
-                "put_p50_us",
-                "put_p99_us",
-                "queue_depth",
-                "group_batches",
-                "p99_speedup",
-            ],
-        );
-        for p in &self.points {
-            t.row(vec![
-                p.device.into(),
-                p.writers.to_string(),
-                p.mode.into(),
-                f(p.put_p50_us, 1),
-                f(p.put_p99_us, 1),
-                f(p.avg_queue_depth, 2),
-                f(p.avg_group_batches, 2),
-                f(p.p99_speedup_vs_serial, 2),
-            ]);
-        }
-        vec![("writepath".into(), t)]
-    }
+    Report::new("writepath", cfg).with_section("put_latency", points)
 }

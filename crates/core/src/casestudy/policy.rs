@@ -2,22 +2,23 @@
 //! stability intervention studied by the suite, so the benches and figure
 //! harnesses can sweep them uniformly.
 //!
-//! The paper's two case-study mechanisms (two-stage throttling of V-A and
-//! dynamic Level-0 management of V-B) attack write-stall instability from
-//! the *foreground* side — pacing writers or resizing the memtable. The
-//! scheduler work re-expresses them as members of a wider family that also
+//! The paper's two-stage throttling case study (V-A) attacks write-stall
+//! instability from the *foreground* side by pacing writers. The
+//! scheduler work re-expresses it as a member of a wider family that also
 //! includes *background* interventions: which level the compactor services
 //! next ([`xlsm_engine::scheduler::CompactionScheduler`]) and how fast the
 //! background I/O may run ([`xlsm_engine::scheduler::BgIoLimiter`]).
 //!
-//! Each variant knows how to configure a fresh database
-//! ([`StabilityPolicy::apply`]) and, for policies that need a live
-//! companion thread, how to attach one ([`StabilityPolicy::attach`]).
+//! Each variant is fully described by how it configures a fresh database
+//! ([`StabilityPolicy::apply`]). Dynamic Level-0 management (V-B) is not a
+//! member: under the stability probe's write-heavy bursts its manager
+//! keeps the memtable at the size it already has, so its rows read
+//! byte-identical to greedy. It stays available as
+//! [`super::dynamic_l0::DynamicL0Manager`].
 
 use std::sync::Arc;
-use xlsm_engine::{Db, DbOptions, FairScheduler, GreedyScheduler, RoundRobinScheduler};
+use xlsm_engine::{DbOptions, FairScheduler, GreedyScheduler, RoundRobinScheduler};
 
-use super::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
 use super::two_stage::TwoStageThrottlePolicy;
 
 /// Background I/O budget granted to the [`StabilityPolicy::Fair`] variant,
@@ -50,20 +51,15 @@ pub enum StabilityPolicy {
     /// Case study V-A: two-stage throttling (foreground-side), greedy
     /// compaction picking.
     TwoStage,
-    /// Case study V-B: dynamic Level-0 management (foreground-side), greedy
-    /// compaction picking. Requires [`StabilityPolicy::attach`] on the open
-    /// database.
-    DynamicL0,
 }
 
 impl StabilityPolicy {
     /// Every member, in the order the stability tables report them.
-    pub const ALL: [StabilityPolicy; 5] = [
+    pub const ALL: [StabilityPolicy; 4] = [
         StabilityPolicy::Greedy,
         StabilityPolicy::RoundRobin,
         StabilityPolicy::Fair,
         StabilityPolicy::TwoStage,
-        StabilityPolicy::DynamicL0,
     ];
 
     /// Stable identifier used in reports and JSON output.
@@ -73,7 +69,6 @@ impl StabilityPolicy {
             StabilityPolicy::RoundRobin => "round-robin",
             StabilityPolicy::Fair => "fair",
             StabilityPolicy::TwoStage => "two-stage",
-            StabilityPolicy::DynamicL0 => "dynamic-l0",
         }
     }
 
@@ -98,51 +93,6 @@ impl StabilityPolicy {
                 opts.compaction_scheduler = Arc::new(GreedyScheduler);
                 opts.throttle_policy = Arc::new(TwoStageThrottlePolicy::new(TWO_STAGE_MIN_RATE));
             }
-            StabilityPolicy::DynamicL0 => {
-                opts.compaction_scheduler = Arc::new(GreedyScheduler);
-            }
-        }
-    }
-
-    /// Attaches any live companion the policy needs to the open database.
-    /// Only [`StabilityPolicy::DynamicL0`] starts one (the V-B manager
-    /// thread); every other variant is fully described by its options.
-    ///
-    /// The manager's geometry is derived from the database's own: the
-    /// aggregate Level-0 volume is the configured trigger × memtable size,
-    /// write-heavy phases keep the configured file count, read-heavy phases
-    /// consolidate to a quarter of it. Deriving (rather than using the
-    /// paper's absolute 24/6 split) keeps the manager's file-count targets
-    /// below the stall triggers on any geometry — a target *above*
-    /// `level0_stop_writes_trigger` would stop writes before compaction
-    /// ever became eligible and wedge the database.
-    pub fn attach(self, db: &Arc<Db>) -> PolicyRuntime {
-        match self {
-            StabilityPolicy::DynamicL0 => {
-                let trigger = (db.l0_compaction_trigger() as u64).max(1);
-                let cfg = DynamicL0Config {
-                    aggregate_l0_bytes: db.write_buffer_size() as u64 * trigger,
-                    files_when_write_heavy: trigger,
-                    files_when_read_heavy: (trigger / 4).max(1),
-                    ..DynamicL0Config::default()
-                };
-                PolicyRuntime(Some(DynamicL0Manager::start(Arc::clone(db), cfg)))
-            }
-            _ => PolicyRuntime(None),
-        }
-    }
-}
-
-/// A running policy companion; [`PolicyRuntime::stop`] it before closing
-/// the database.
-#[derive(Debug)]
-pub struct PolicyRuntime(Option<DynamicL0Manager>);
-
-impl PolicyRuntime {
-    /// Stops the companion thread, if any.
-    pub fn stop(self) {
-        if let Some(mgr) = self.0 {
-            let _ = mgr.stop();
         }
     }
 }

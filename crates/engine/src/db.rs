@@ -30,6 +30,20 @@ use xlsm_sim::sync::{channel, Receiver, Semaphore, Sender};
 use xlsm_sim::JoinHandle;
 use xlsm_simfs::{FsError, SimFs};
 
+/// Flush worker threads (the high-priority pool).
+const MAX_BACKGROUND_FLUSHES: usize = 1;
+
+/// Maximum bytes gathered into one write batch group.
+const MAX_WRITE_BATCH_GROUP_SIZE: usize = 1 << 20;
+
+/// Bounded retries for a retryable (transient) background I/O error before
+/// it escalates to hard and the database goes read-only.
+const MAX_BACKGROUND_ERROR_RETRIES: u32 = 6;
+
+/// Backoff before the first background-error retry (1 ms); doubles on each
+/// subsequent attempt.
+const BACKGROUND_ERROR_RETRY_BACKOFF_NS: u64 = 1_000_000;
+
 // ---------------------------------------------------------------------------
 // Table cache
 // ---------------------------------------------------------------------------
@@ -575,7 +589,7 @@ impl DbInner {
         let dest = trash_file_name(&self.opts.db_path, number);
         match self.fs.rename(&path, &dest) {
             Ok(()) => {
-                self.stats.add(Ticker::TrashQueueBytes, bytes);
+                self.stats.add(Ticker::TrashedBytes, bytes);
                 self.trash.schedule(dest, bytes);
                 Ok(())
             }
@@ -1153,14 +1167,10 @@ impl DbInner {
                 self.controller.set_external_stop(true);
                 return;
             }
-            if severity == ErrorSeverity::Retryable
-                && retries < self.opts.max_background_error_retries
-            {
+            if severity == ErrorSeverity::Retryable && retries < MAX_BACKGROUND_ERROR_RETRIES {
                 self.stats.bump(Ticker::BackgroundErrorRetries);
-                let backoff = self
-                    .opts
-                    .background_error_retry_backoff_ns
-                    .saturating_mul(1u64 << retries.min(20));
+                let backoff =
+                    BACKGROUND_ERROR_RETRY_BACKOFF_NS.saturating_mul(1u64 << retries.min(20));
                 retries += 1;
                 xlsm_sim::sleep_nanos(backoff.max(1));
                 continue;
@@ -1624,7 +1634,7 @@ impl Db {
         let inner = Arc::new(DbInner {
             controller,
             io_limiter,
-            queue: WriteQueue::new(opts.pipelined_write, opts.max_write_batch_group_size)
+            queue: WriteQueue::new(opts.pipelined_write, MAX_WRITE_BATCH_GROUP_SIZE)
                 .with_concurrent_apply(
                     opts.allow_concurrent_memtable_write,
                     opts.concurrent_apply_min_batches,
@@ -1685,7 +1695,7 @@ impl Db {
                     Err(_) => 0,
                 };
                 if inner.trash.enabled() {
-                    inner.stats.add(Ticker::TrashQueueBytes, bytes);
+                    inner.stats.add(Ticker::TrashedBytes, bytes);
                     inner.trash.schedule(path, bytes);
                 } else {
                     match inner.fs.delete(&path) {
@@ -1731,7 +1741,7 @@ impl Db {
 
         // --- Background workers ----------------------------------------------
         let mut workers = Vec::new();
-        for i in 0..inner.opts.max_background_flushes {
+        for i in 0..MAX_BACKGROUND_FLUSHES {
             let rx: Receiver<()> = flush_rx.clone();
             let inner2 = Arc::clone(&inner);
             workers.push(xlsm_sim::spawn(&format!("flush-{i}"), move || {

@@ -101,7 +101,7 @@ pub enum Ticker {
     /// Cumulative bytes of obsolete SSTs moved into `trash/` awaiting
     /// rate-limited deletion (monotonic; the *current* backlog is the
     /// `trash_queue_bytes` gauge in `Metrics`).
-    TrashQueueBytes,
+    TrashedBytes,
     /// Obsolete-WAL deletions that failed and were left for a later purge
     /// pass to retry (previously swallowed silently).
     WalPurgeFailures,

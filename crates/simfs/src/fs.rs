@@ -181,7 +181,7 @@ pub struct SimFs {
     throttle_writebacks: AtomicU64,
     sync_writebacks: AtomicU64,
     bg_writebacks: AtomicU64,
-    wb_wake: xlsm_sim::sync::WaitSet,
+    wb_wake: Arc<xlsm_sim::sync::WaitSet>,
     fault: parking_lot::Mutex<Option<FaultState>>,
     /// Set by [`SimFs::power_cut`]; every operation fails until
     /// [`SimFs::power_restore`].
@@ -220,7 +220,7 @@ impl SimFs {
             throttle_writebacks: AtomicU64::new(0),
             sync_writebacks: AtomicU64::new(0),
             bg_writebacks: AtomicU64::new(0),
-            wb_wake: xlsm_sim::sync::WaitSet::new("fs-writeback"),
+            wb_wake: Arc::new(xlsm_sim::sync::WaitSet::new("fs-writeback")),
             fault: parking_lot::Mutex::new(None),
             dead: AtomicBool::new(false),
             write_through,
@@ -232,10 +232,16 @@ impl SimFs {
         });
         // Background writeback (the pdflush/kworker analogue): drains dirty
         // pages above the soft limit so appenders normally never block on
-        // the device. A parked daemon thread per filesystem.
-        let fs2 = Arc::clone(&fs);
+        // the device. A parked daemon thread per filesystem; it holds the
+        // filesystem weakly so a finished simulation frees it, and exits
+        // once the filesystem is gone.
+        let wake = Arc::clone(&fs.wb_wake);
+        let weak = Arc::downgrade(&fs);
         xlsm_sim::spawn_daemon("fs-writeback", move || loop {
-            fs2.wb_wake.wait();
+            wake.wait();
+            let Some(fs2) = weak.upgrade() else {
+                return;
+            };
             loop {
                 let batch = {
                     let mut cache = fs2.cache.lock();
@@ -1028,6 +1034,28 @@ mod tests {
             },
         );
         (fs, dev)
+    }
+
+    #[test]
+    fn finished_simulation_frees_the_filesystem() {
+        let (fs, bg_writebacks) = Runtime::new().run(|| {
+            let (fs, _dev) = fixture(64);
+            let f = fs.create("f").unwrap();
+            // Far past the dirty limits, so the writeback daemon runs.
+            for _ in 0..64 {
+                f.append(&[7u8; 16 << 10]).unwrap();
+            }
+            xlsm_sim::sleep_nanos(1_000_000);
+            (
+                Arc::downgrade(&fs),
+                fs.bg_writebacks.load(Ordering::Relaxed),
+            )
+        });
+        assert!(bg_writebacks > 0, "the writeback daemon never ran");
+        assert!(
+            fs.upgrade().is_none(),
+            "the writeback daemon kept the filesystem alive"
+        );
     }
 
     #[test]

@@ -7,19 +7,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> parallelism probe -> BENCH_parallelism.json"
-cargo run -q --release -p xlsm-bench --bin parallelism -- BENCH_parallelism.json
-
-echo "==> writepath probe -> BENCH_writepath.json"
-cargo run -q --release -p xlsm-bench --bin writepath -- BENCH_writepath.json
-
-echo "==> readpath probe -> BENCH_readpath.json"
-cargo run -q --release -p xlsm-bench --bin readpath -- BENCH_readpath.json
-
-echo "==> stability probe -> BENCH_stability.json"
-cargo run -q --release -p xlsm-bench --bin stability -- BENCH_stability.json
-
-echo "==> space probe -> BENCH_space.json"
-cargo run -q --release -p xlsm-bench --bin space -- BENCH_space.json
+# Assigned first so a failing --list stops the script instead of running
+# zero probes.
+probes="$(cargo run -q --release -p xlsm-bench --bin probes -- --list)"
+for probe in $probes; do
+    echo "==> $probe probe -> BENCH_$probe.json"
+    cargo run -q --release -p xlsm-bench --bin probes -- "$probe" "BENCH_$probe.json"
+done
 
 echo "==> done"

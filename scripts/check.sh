@@ -43,35 +43,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> determinism: parallelism probe twice with one seed, byte-identical JSON"
-par_a="$(mktemp)" par_b="$(mktemp)"
-wp_a="$(mktemp)" wp_b="$(mktemp)"
-rp_a="$(mktemp)" rp_b="$(mktemp)"
-st_a="$(mktemp)" st_b="$(mktemp)"
-sp_a="$(mktemp)" sp_b="$(mktemp)"
-trap 'rm -f "$par_a" "$par_b" "$wp_a" "$wp_b" "$rp_a" "$rp_b" "$st_a" "$st_b" "$sp_a" "$sp_b"' EXIT
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin parallelism -- "$par_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin parallelism -- "$par_b" >/dev/null
-cmp "$par_a" "$par_b"
-
-echo "==> determinism: writepath probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin writepath -- "$wp_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin writepath -- "$wp_b" >/dev/null
-cmp "$wp_a" "$wp_b"
-
-echo "==> determinism: readpath probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin readpath -- "$rp_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin readpath -- "$rp_b" >/dev/null
-cmp "$rp_a" "$rp_b"
-
-echo "==> determinism: stability probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin stability -- "$st_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin stability -- "$st_b" >/dev/null
-cmp "$st_a" "$st_b"
-
-echo "==> determinism: space probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin space -- "$sp_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin space -- "$sp_b" >/dev/null
-cmp "$sp_a" "$sp_b"
+echo "==> determinism: every probe twice with one seed, byte-identical JSON"
+probe_a="$(mktemp)" probe_b="$(mktemp)"
+trap 'rm -f "$probe_a" "$probe_b"' EXIT
+# Assigned first so a failing --list stops the script instead of running
+# zero probes.
+probes="$(cargo run -q --release -p xlsm-bench --bin probes -- --list)"
+for probe in $probes; do
+    echo "    $probe"
+    XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin probes -- "$probe" "$probe_a" >/dev/null
+    XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin probes -- "$probe" "$probe_b" >/dev/null
+    cmp "$probe_a" "$probe_b"
+done
 
 echo "==> all checks passed"

@@ -444,7 +444,7 @@ fn power_cut_during_trash_reclamation_disposes_exactly_once() {
             loop {
                 let t = db2.metrics().tickers;
                 if db2.trash_queued_bytes() == 0
-                    && t.get(Ticker::SpaceReclaimedBytes) == t.get(Ticker::TrashQueueBytes)
+                    && t.get(Ticker::SpaceReclaimedBytes) == t.get(Ticker::TrashedBytes)
                 {
                     break;
                 }

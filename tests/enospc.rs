@@ -299,7 +299,7 @@ fn trash_reclamation_is_paced_and_drains_to_zero() {
         }
         db.wait_for_compactions();
 
-        let queued = db.metrics().tickers.get(Ticker::TrashQueueBytes);
+        let queued = db.metrics().tickers.get(Ticker::TrashedBytes);
         assert!(queued > 0, "compaction churn must have trashed inputs");
 
         // Drained means the counters converge: a zero backlog alone can
@@ -310,7 +310,7 @@ fn trash_reclamation_is_paced_and_drains_to_zero() {
             5_000_000,
             || {
                 let t = db.metrics().tickers;
-                t.get(Ticker::SpaceReclaimedBytes) == t.get(Ticker::TrashQueueBytes)
+                t.get(Ticker::SpaceReclaimedBytes) == t.get(Ticker::TrashedBytes)
             },
         );
         let m = db.metrics();
