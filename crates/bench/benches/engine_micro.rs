@@ -4,9 +4,9 @@
 //! harness measures *virtual-time* behavior); they exist to catch
 //! performance regressions in the substrate itself.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use xlsm_engine::bloom::BloomFilter;
-use xlsm_engine::crc32c::crc32c;
+use xlsm_engine::crc32c::{crc32c, crc32c_portable};
 use xlsm_engine::memtable::MemTable;
 use xlsm_engine::types::ValueType;
 use xlsm_engine::{Histogram, WriteBatch};
@@ -75,10 +75,18 @@ fn bench_bloom(c: &mut Criterion) {
 }
 
 fn bench_crc(c: &mut Criterion) {
-    let data = vec![0xA5u8; 4096];
+    // `crc32c` runs the fastest kernel the host supports; the `portable_`
+    // cases force the table loop, the fallback on every other host. 16
+    // bytes is the size of a WAL header or a protection tag's input.
     let mut g = c.benchmark_group("crc32c");
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("4k_block", |b| b.iter(|| crc32c(&data)));
+    for (name, len) in [("4k_block", 4096), ("16b", 16)] {
+        let data = vec![0xA5u8; len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| b.iter(|| crc32c(black_box(&data))));
+        g.bench_function(format!("portable_{name}"), |b| {
+            b.iter(|| crc32c_portable(black_box(&data)))
+        });
+    }
     g.finish();
 }
 

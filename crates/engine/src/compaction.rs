@@ -501,7 +501,7 @@ fn merge_into_edit(
     };
     while ok {
         let ikey = merged.key();
-        let (uk, seq, t) = types::parse_internal_key(&ikey);
+        let (uk, seq, t) = types::parse_internal_key(ikey);
         if let Some(hi) = hi {
             if uk >= hi {
                 break; // next range's territory
@@ -518,7 +518,9 @@ fn merge_into_edit(
         if !same_key {
             // Reset per-key state *before* the drop decision, so a dropped
             // leading tombstone's shadow survives for the older versions.
-            last_user_key = Some(uk.to_vec());
+            let last = last_user_key.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend_from_slice(uk);
             last_kept_visible = false;
         }
         let mut drop = false;
@@ -544,7 +546,7 @@ fn merge_into_edit(
                 ));
             }
             let b = builder.as_mut().unwrap();
-            b.add(&ikey, &merged.value())?;
+            b.add(ikey, merged.value())?;
             if b.file_size() >= opts.target_file_size_base {
                 finish_builder(&mut builder, builder_number, edit)?;
             }

@@ -882,10 +882,7 @@ impl DbInner {
             let mut cpu = 0u64;
             while ok {
                 iter.verify_entry()?;
-                builder.add(
-                    &InternalIterator::key(&iter),
-                    &InternalIterator::value(&iter),
-                )?;
+                builder.add(iter.key(), iter.value())?;
                 cpu += costs::FLUSH_ENTRY_NS;
                 if cpu >= 256 * costs::FLUSH_ENTRY_NS {
                     xlsm_sim::sleep_nanos(cpu);
@@ -1578,10 +1575,7 @@ impl Db {
             let mut ok = InternalIterator::seek_to_first(&mut iter)?;
             while ok {
                 iter.verify_entry()?;
-                builder.add(
-                    &InternalIterator::key(&iter),
-                    &InternalIterator::value(&iter),
-                )?;
+                builder.add(iter.key(), iter.value())?;
                 ok = InternalIterator::next(&mut iter)?;
             }
             let props = builder.finish()?;

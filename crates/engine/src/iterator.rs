@@ -2,7 +2,6 @@
 
 use crate::db::TableCache;
 use crate::error::DbResult;
-use crate::memtable::MemTableIter;
 use crate::sst::TableIterator;
 use crate::stats::DbStats;
 use crate::types::{self, compare_internal, SequenceNumber, ValueType};
@@ -35,52 +34,11 @@ pub trait InternalIterator: Send {
     fn next(&mut self) -> DbResult<bool>;
     /// Whether positioned on an entry.
     fn valid(&self) -> bool;
-    /// Current internal key (only when valid).
-    fn key(&self) -> Vec<u8>;
-    /// Current value (only when valid).
-    fn value(&self) -> Vec<u8>;
-}
-
-impl InternalIterator for MemTableIter {
-    fn seek_to_first(&mut self) -> DbResult<bool> {
-        Ok(MemTableIter::seek_to_first(self))
-    }
-    fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
-        Ok(MemTableIter::seek(self, ikey))
-    }
-    fn next(&mut self) -> DbResult<bool> {
-        Ok(MemTableIter::next(self))
-    }
-    fn valid(&self) -> bool {
-        MemTableIter::valid(self)
-    }
-    fn key(&self) -> Vec<u8> {
-        MemTableIter::key(self)
-    }
-    fn value(&self) -> Vec<u8> {
-        MemTableIter::value(self)
-    }
-}
-
-impl InternalIterator for TableIterator {
-    fn seek_to_first(&mut self) -> DbResult<bool> {
-        TableIterator::seek_to_first(self)
-    }
-    fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
-        TableIterator::seek(self, ikey)
-    }
-    fn next(&mut self) -> DbResult<bool> {
-        TableIterator::next(self)
-    }
-    fn valid(&self) -> bool {
-        TableIterator::valid(self)
-    }
-    fn key(&self) -> Vec<u8> {
-        TableIterator::key(self)
-    }
-    fn value(&self) -> Vec<u8> {
-        TableIterator::value(self)
-    }
+    /// Current internal key (only when valid), borrowed until the next
+    /// movement.
+    fn key(&self) -> &[u8];
+    /// Current value (only when valid), borrowed until the next movement.
+    fn value(&self) -> &[u8];
 }
 
 /// Concatenating iterator over the disjoint, sorted files of one level ≥ 1.
@@ -194,11 +152,11 @@ impl InternalIterator for LevelIterator {
         self.cur.as_ref().is_some_and(|c| c.valid())
     }
 
-    fn key(&self) -> Vec<u8> {
+    fn key(&self) -> &[u8] {
         self.cur.as_ref().unwrap().key()
     }
 
-    fn value(&self) -> Vec<u8> {
+    fn value(&self) -> &[u8] {
         self.cur.as_ref().unwrap().value()
     }
 }
@@ -232,19 +190,14 @@ impl MergingIterator {
     }
 
     fn pick_smallest(&mut self) {
-        let mut best: Option<(usize, Vec<u8>)> = None;
+        let mut best: Option<(usize, &[u8])> = None;
         for (i, c) in self.children.iter().enumerate() {
             if !c.valid() {
                 continue;
             }
             let k = c.key();
-            match &best {
-                None => best = Some((i, k)),
-                Some((_, bk)) => {
-                    if compare_internal(&k, bk) == Ordering::Less {
-                        best = Some((i, k));
-                    }
-                }
+            if best.is_none_or(|(_, bk)| compare_internal(k, bk) == Ordering::Less) {
+                best = Some((i, k));
             }
         }
         self.current = best.map(|(i, _)| i);
@@ -280,11 +233,11 @@ impl InternalIterator for MergingIterator {
         self.current.is_some()
     }
 
-    fn key(&self) -> Vec<u8> {
+    fn key(&self) -> &[u8] {
         self.children[self.current.unwrap()].key()
     }
 
-    fn value(&self) -> Vec<u8> {
+    fn value(&self) -> &[u8] {
         self.children[self.current.unwrap()].value()
     }
 }
@@ -322,8 +275,7 @@ impl DbIterator {
     fn resolve_forward(&mut self, mut skip_user_key: Option<Vec<u8>>) -> DbResult<()> {
         self.entry = None;
         while self.inner.valid() {
-            let ikey = self.inner.key();
-            let (uk, seq, t) = types::parse_internal_key(&ikey);
+            let (uk, seq, t) = types::parse_internal_key(self.inner.key());
             if let Some(skip) = &skip_user_key {
                 if uk == &skip[..] {
                     self.inner.next()?;
@@ -340,7 +292,7 @@ impl DbIterator {
                     self.inner.next()?;
                 }
                 ValueType::Value => {
-                    self.entry = Some((uk.to_vec(), self.inner.value()));
+                    self.entry = Some((uk.to_vec(), self.inner.value().to_vec()));
                     return Ok(());
                 }
             }
@@ -428,7 +380,7 @@ mod tests {
         assert!(m.seek_to_first().unwrap());
         let mut keys = Vec::new();
         while m.valid() {
-            keys.push(types::user_key(&m.key()).to_vec());
+            keys.push(types::user_key(m.key()).to_vec());
             m.next().unwrap();
         }
         assert_eq!(
@@ -443,10 +395,10 @@ mod tests {
         let older = mem_iter(&[(b"k", 3, ValueType::Value, b"old")]);
         let mut m = MergingIterator::new(vec![newer, older]);
         assert!(m.seek_to_first().unwrap());
-        let (_, seq, _) = types::parse_internal_key(&m.key());
+        let (_, seq, _) = types::parse_internal_key(m.key());
         assert_eq!(seq, 9);
         assert!(m.next().unwrap());
-        let (_, seq2, _) = types::parse_internal_key(&m.key());
+        let (_, seq2, _) = types::parse_internal_key(m.key());
         assert_eq!(seq2, 3);
     }
 
@@ -461,7 +413,7 @@ mod tests {
         assert!(m
             .seek(&make_internal_key(b"b", u64::MAX >> 8, ValueType::Value))
             .unwrap());
-        assert_eq!(types::user_key(&m.key()), b"c");
+        assert_eq!(types::user_key(m.key()), b"c");
     }
 
     #[test]

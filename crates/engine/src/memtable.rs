@@ -32,6 +32,7 @@
 use crate::bloom::ConcurrentBloom;
 use crate::error::{DbError, DbResult};
 use crate::integrity;
+use crate::iterator::InternalIterator;
 use crate::types::{
     self, compare_internal, make_internal_key, make_lookup_key, SequenceNumber, ValueType,
 };
@@ -480,16 +481,6 @@ impl MemTableIter {
         self.started && self.cur != NIL
     }
 
-    /// Current internal key (cloned; nodes are immutable once inserted).
-    pub fn key(&self) -> Vec<u8> {
-        self.mem.arena.node(self.cur).key.clone()
-    }
-
-    /// Current value.
-    pub fn value(&self) -> Vec<u8> {
-        self.mem.arena.node(self.cur).value.clone()
-    }
-
     /// Re-verifies the current entry against its stored per-entry checksum
     /// (no-op when the memtable does not protect entries). Flush calls this
     /// per entry so a corrupted buffered write is caught *before* it is
@@ -501,6 +492,27 @@ impl MemTableIter {
     pub fn verify_entry(&self) -> DbResult<()> {
         debug_assert!(self.valid(), "verify_entry on invalid iterator");
         self.mem.verify_node(self.cur)
+    }
+}
+
+impl InternalIterator for MemTableIter {
+    fn seek_to_first(&mut self) -> DbResult<bool> {
+        Ok(MemTableIter::seek_to_first(self))
+    }
+    fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
+        Ok(MemTableIter::seek(self, ikey))
+    }
+    fn next(&mut self) -> DbResult<bool> {
+        Ok(MemTableIter::next(self))
+    }
+    fn valid(&self) -> bool {
+        MemTableIter::valid(self)
+    }
+    fn key(&self) -> &[u8] {
+        &self.mem.arena.node(self.cur).key
+    }
+    fn value(&self) -> &[u8] {
+        &self.mem.arena.node(self.cur).value
     }
 }
 
@@ -568,7 +580,7 @@ mod tests {
         assert!(it.seek_to_first());
         let mut keys = Vec::new();
         loop {
-            keys.push(it.key());
+            keys.push(it.key().to_vec());
             if !it.next() {
                 break;
             }
@@ -587,8 +599,7 @@ mod tests {
         m.add(3, ValueType::Value, b"e", b"");
         let mut it = m.iter();
         assert!(it.seek(&make_lookup_key(b"b", u64::MAX >> 8)));
-        let key = it.key();
-        let (uk, ..) = types::parse_internal_key(&key);
+        let (uk, ..) = types::parse_internal_key(it.key());
         assert_eq!(uk, b"c");
         assert!(!it.seek(&make_lookup_key(b"z", u64::MAX >> 8)));
     }
@@ -675,9 +686,9 @@ mod tests {
             assert_eq!(m.num_entries(), THREADS * PER_THREAD);
             let mut it = m.iter();
             assert!(it.seek_to_first());
-            let mut keys = vec![it.key()];
+            let mut keys = vec![it.key().to_vec()];
             while it.next() {
-                keys.push(it.key());
+                keys.push(it.key().to_vec());
             }
             assert_eq!(keys.len() as u64, THREADS * PER_THREAD, "entries lost");
             for w in keys.windows(2) {

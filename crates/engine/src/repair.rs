@@ -252,7 +252,7 @@ fn read_table_meta(
     let mut iter = reader.iter(Arc::clone(stats));
     let mut ok = iter.seek_to_first()?;
     while ok {
-        let (_, seq, _) = parse_internal_key(&iter.key());
+        let (_, seq, _) = parse_internal_key(iter.key());
         max_seq = max_seq.max(seq);
         ok = iter.next()?;
     }
@@ -282,10 +282,7 @@ fn dump_memtable(
     let mut iter = mem.iter();
     let mut ok = InternalIterator::seek_to_first(&mut iter)?;
     while ok {
-        builder.add(
-            &InternalIterator::key(&iter),
-            &InternalIterator::value(&iter),
-        )?;
+        builder.add(iter.key(), iter.value())?;
         ok = InternalIterator::next(&mut iter)?;
     }
     let props = builder.finish()?;

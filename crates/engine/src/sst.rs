@@ -41,6 +41,7 @@ use crate::compress::{self, CompressionType};
 use crate::costs;
 use crate::crc32c;
 use crate::error::{DbError, DbResult};
+use crate::iterator::InternalIterator;
 use crate::stats::{DbStats, Ticker};
 use crate::types::{self, compare_internal};
 use std::cmp::Ordering;
@@ -104,7 +105,8 @@ impl BlockBuilder {
         put_varint64(&mut self.buf, value.len() as u64);
         self.buf.extend_from_slice(&key[shared..]);
         self.buf.extend_from_slice(value);
-        self.last_key = key.to_vec();
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.count_since_restart += 1;
         self.entries += 1;
     }
@@ -184,9 +186,8 @@ pub fn decode_block(data: &[u8]) -> DbResult<Block> {
         .len()
         .checked_sub(4 + n_restarts * 4)
         .ok_or_else(|| DbError::Corruption("bad restart count".into()))?;
-    let mut entries = Vec::new();
+    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     let mut off = 0usize;
-    let mut last_key: Vec<u8> = Vec::new();
     while off < restarts_off {
         let shared = get_varint64(data, &mut off)
             .ok_or_else(|| DbError::Corruption("bad shared len".into()))?
@@ -197,15 +198,20 @@ pub fn decode_block(data: &[u8]) -> DbResult<Block> {
         let vlen = get_varint64(data, &mut off)
             .ok_or_else(|| DbError::Corruption("bad value len".into()))?
             as usize;
-        if off + non_shared + vlen > restarts_off || shared > last_key.len() {
+        // The shared prefix comes from the previous entry's key.
+        let prev_key = entries.last().map_or(&[][..], |(k, _)| &k[..]);
+        let end = off
+            .checked_add(non_shared)
+            .and_then(|e| e.checked_add(vlen));
+        if end.is_none_or(|end| end > restarts_off) || shared > prev_key.len() {
             return Err(DbError::Corruption("block entry out of bounds".into()));
         }
-        let mut key = last_key[..shared].to_vec();
+        let mut key = Vec::with_capacity(shared + non_shared);
+        key.extend_from_slice(&prev_key[..shared]);
         key.extend_from_slice(&data[off..off + non_shared]);
         off += non_shared;
         let value = data[off..off + vlen].to_vec();
         off += vlen;
-        last_key = key.clone();
         entries.push((key, value));
     }
     Ok(Block {
@@ -360,7 +366,8 @@ impl TableBuilder {
         if self.smallest.is_empty() {
             self.smallest = ikey.to_vec();
         }
-        self.largest = ikey.to_vec();
+        self.largest.clear();
+        self.largest.extend_from_slice(ikey);
         let uk = types::user_key(ikey);
         if let Some(b) = &mut self.whole_bloom {
             b.add_key(uk);
@@ -1105,19 +1112,26 @@ impl TableIterator {
             .as_ref()
             .is_some_and(|b| self.entry_idx < b.entries.len())
     }
+}
 
-    /// Current internal key.
-    pub fn key(&self) -> Vec<u8> {
-        self.block.as_ref().unwrap().entries[self.entry_idx]
-            .0
-            .clone()
+impl InternalIterator for TableIterator {
+    fn seek_to_first(&mut self) -> DbResult<bool> {
+        TableIterator::seek_to_first(self)
     }
-
-    /// Current value.
-    pub fn value(&self) -> Vec<u8> {
-        self.block.as_ref().unwrap().entries[self.entry_idx]
-            .1
-            .clone()
+    fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
+        TableIterator::seek(self, ikey)
+    }
+    fn next(&mut self) -> DbResult<bool> {
+        TableIterator::next(self)
+    }
+    fn valid(&self) -> bool {
+        TableIterator::valid(self)
+    }
+    fn key(&self) -> &[u8] {
+        &self.block.as_ref().unwrap().entries[self.entry_idx].0
+    }
+    fn value(&self) -> &[u8] {
+        &self.block.as_ref().unwrap().entries[self.entry_idx].1
     }
 }
 
@@ -1235,7 +1249,7 @@ mod tests {
             let mut count = 0;
             let mut last: Option<Vec<u8>> = None;
             while it.valid() {
-                let k = it.key();
+                let k = it.key().to_vec();
                 if let Some(l) = &last {
                     assert_eq!(compare_internal(l, &k), Ordering::Less);
                 }
@@ -1256,11 +1270,11 @@ mod tests {
             let mut it = t.iter(stats);
             let target = make_lookup_key(b"key000123", u64::MAX >> 8);
             assert!(it.seek(&target).unwrap());
-            assert_eq!(types::user_key(&it.key()), b"key000123");
+            assert_eq!(types::user_key(it.key()), b"key000123");
             // Seek between keys lands on the next one.
             let target = make_lookup_key(b"key000123x", u64::MAX >> 8);
             assert!(it.seek(&target).unwrap());
-            assert_eq!(types::user_key(&it.key()), b"key000124");
+            assert_eq!(types::user_key(it.key()), b"key000124");
             // Seek past the end invalidates.
             let target = make_lookup_key(b"zzz", u64::MAX >> 8);
             assert!(!it.seek(&target).unwrap());
@@ -1581,6 +1595,21 @@ mod tests {
             assert_eq!(v, b"val");
         }
     }
+
+    #[test]
+    fn block_entry_lengths_past_usize_are_corruption() {
+        // An entry whose key length overflows `off + len` must be rejected,
+        // not wrap around the bounds check.
+        for (non_shared, vlen) in [(u64::MAX, 0), (1, u64::MAX)] {
+            let mut data = Vec::new();
+            put_varint64(&mut data, 0);
+            put_varint64(&mut data, non_shared);
+            put_varint64(&mut data, vlen);
+            put_fixed32(&mut data, 0); // restart offset
+            put_fixed32(&mut data, 1); // restart count
+            assert!(matches!(decode_block(&data), Err(DbError::Corruption(_))));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1641,8 +1670,7 @@ mod proptests {
                 let mut n = 0usize;
                 let mut ok = it.seek_to_first().unwrap();
                 while ok {
-                    let ik = it.key();
-                    assert_eq!(types::user_key(&ik), &keys[n][..]);
+                    assert_eq!(types::user_key(it.key()), &keys[n][..]);
                     n += 1;
                     ok = it.next().unwrap();
                 }

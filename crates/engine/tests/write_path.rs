@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
+use xlsm_engine::iterator::InternalIterator;
 use xlsm_engine::stall::PreprocessStalls;
 use xlsm_engine::types::{parse_internal_key, ValueType};
 use xlsm_engine::write::{WriteBackend, WriteQueue};
@@ -87,7 +88,7 @@ fn dump_entries(mem: &Arc<MemTable>) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut out = Vec::new();
     let mut ok = it.seek_to_first();
     while ok {
-        out.push((it.key(), it.value()));
+        out.push((it.key().to_vec(), it.value().to_vec()));
         ok = it.next();
     }
     out

@@ -37,6 +37,10 @@ echo "==> scheduling suite: policy equivalence, fairness bound, I/O-budget admis
 # logical database, so this line is also a determinism gate.
 cargo test -q --test scheduling
 
+echo "==> benchmark self-tests: traced-run neutrality, wrong values fail, BENCHMARK.json agreement"
+# perfbench is a workspace of its own, so the --workspace runs above skip it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
